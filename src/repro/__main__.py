@@ -118,6 +118,19 @@ def _add_exec_flags(
     )
 
 
+def _workers_misused(command: str, args: argparse.Namespace,
+                     backend: str | None) -> bool:
+    """Report ``--workers`` given off ``--backend remote``; True if so.
+
+    The caller exits 2 (a usage error) when this returns True.
+    """
+    if args.workers is not None and backend != "remote":
+        print(f"{command} failed: --workers only applies to --backend "
+              "remote", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_version(args: argparse.Namespace) -> int:
     import repro
 
@@ -287,9 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.workers is not None and args.backend != "remote":
-        print("sweep failed: --workers only applies to --backend remote",
-              file=sys.stderr)
+    if _workers_misused("sweep", args, args.backend):
         return 2
     sink = None
     if args.stream:
@@ -443,9 +454,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers is not None and backend != "remote":
-        print("fuzz failed: --workers only applies to --backend remote",
-              file=sys.stderr)
+    if _workers_misused("fuzz", args, backend):
         return 2
     stepping = args.stepping if args.stepping is not None else "round_robin"
     quantum = args.quantum if args.quantum is not None else 512

@@ -47,12 +47,10 @@ from repro.detectors.phi_accrual import PhiAccrualDriver
 from repro.errors import SimulationError
 from repro.exec import (
     EXEC_BACKENDS,
-    CampaignJournal,
     InprocExecutor,
     JobSpec,
+    Journal,
     ResultSink,
-    effective_backend,
-    job_digest,
     make_executor,
     run_jobs,
 )
@@ -937,7 +935,6 @@ def run_fuzz(
             "a ShardedRunner only drives the 'inproc' backend; drop "
             f"runner= or backend={backend!r}"
         )
-    backend = effective_backend(backend, count, jobs)
     if backend == "inproc":
         if runner is None:
             runner = ShardedRunner(
@@ -974,10 +971,11 @@ def adaptive_campaign_digest(
 ) -> str:
     """Content hash of an adaptive campaign's inputs.
 
-    This is what a :class:`~repro.exec.journal.CampaignJournal` header
-    binds to: the full job plan is unknown upfront (batch *k*'s jobs
-    depend on batch *k-1*'s outcomes), but the campaign inputs determine
-    the whole run, so binding to them is binding to the plan.
+    This is what an adaptive campaign's
+    :class:`~repro.exec.journal.Journal` header binds to: the full job
+    plan is unknown upfront (batch *k*'s jobs depend on batch *k-1*'s
+    outcomes), but the campaign inputs determine the whole run, so
+    binding to them is binding to the plan.
     """
     return hashlib.sha256(
         repr(
@@ -1086,12 +1084,12 @@ def run_adaptive_fuzz(
     :meth:`AdaptiveReport.digest`, on every backend and stepping policy.
 
     ``journal``/``resume`` checkpoint through a
-    :class:`~repro.exec.journal.CampaignJournal`: restored results are
-    validated against the recomputed batch jobs (hash mismatch names the
-    campaign drift), and each batch's recorded coverage checkpoint is
-    cross-checked against the resumed fold. A ``sink`` streams outcomes
-    in campaign index order as the finished prefix grows, exactly like
-    :func:`run_fuzz`.
+    :class:`~repro.exec.journal.Journal` bound to the campaign digest:
+    restored results are validated against the recomputed batch jobs
+    (hash mismatch names the campaign drift), and each batch's recorded
+    coverage checkpoint is cross-checked against the resumed fold. A
+    ``sink`` streams outcomes in campaign index order as the finished
+    prefix grows, exactly like :func:`run_fuzz`.
     """
     if count < 0:
         raise SimulationError(f"count must be >= 0, got {count}")
@@ -1106,7 +1104,6 @@ def run_adaptive_fuzz(
             "a ShardedRunner only drives the 'inproc' backend; drop "
             f"runner= or backend={backend!r}"
         )
-    backend = effective_backend(backend, min(batch, count), jobs)
     if backend == "inproc":
         if runner is None:
             runner = ShardedRunner(
@@ -1119,11 +1116,9 @@ def run_adaptive_fuzz(
             remote_workers=remote_workers,
         )
 
-    log = CampaignJournal(journal) if journal is not None else None
-    cached: dict[int, tuple[str, object]] = {}
-    checkpoints: dict[int, dict] = {}
+    log = Journal(journal) if journal is not None else None
     if log is not None:
-        cached, checkpoints = log.begin(
+        log.begin_campaign(
             adaptive_campaign_digest(seed, count, batch, config),
             count,
             resume=resume,
@@ -1151,24 +1146,19 @@ def run_adaptive_fuzz(
         while start < count:
             end = min(count, start + batch)
             weights = derive_weights(config, coverage)
-            pending: list[tuple[int, JobSpec]] = []
-            for index in range(start, end):
-                job = scenario_job(seed, index, config, weights=weights)
-                jobs_by_index[index] = job
-                entry = cached.get(index)
-                if entry is not None:
-                    job_hash, result = entry
-                    if job_hash != job_digest(job):
-                        raise SimulationError(
-                            f"journal {log.path}: job hash mismatch at "
-                            f"index {index}; the journaled campaign "
-                            "diverged from this one (seed, count, batch "
-                            "size, config, or the adaptive loop changed); "
-                            "delete the journal or drop --resume"
-                        )
+            batch_jobs = [
+                (index, scenario_job(seed, index, config, weights=weights))
+                for index in range(start, end)
+            ]
+            jobs_by_index.update(batch_jobs)
+            if log is not None:
+                for index, result in log.restore(batch_jobs).items():
                     outcomes[index] = result
-                else:
-                    pending.append((index, job))
+            pending = [
+                (index, job)
+                for index, job in batch_jobs
+                if outcomes[index] is None
+            ]
 
             def on_result(index: int, result: FuzzOutcome) -> None:
                 outcomes[index] = result
@@ -1205,21 +1195,7 @@ def run_adaptive_fuzz(
                 )
             )
             if log is not None:
-                checkpoint = checkpoints.get(number)
-                if checkpoint is not None:
-                    if (
-                        checkpoint.get("digest") != digest
-                        or checkpoint.get("upto") != end
-                    ):
-                        raise SimulationError(
-                            f"journal {log.path}: coverage checkpoint "
-                            f"mismatch at batch {number}; the resumed "
-                            "fold does not reproduce the original run "
-                            "(code or config drift); delete the journal "
-                            "or drop --resume"
-                        )
-                else:
-                    log.record_coverage(number, end, digest)
+                log.record_coverage(number, end, digest)
             number += 1
             start = end
     finally:

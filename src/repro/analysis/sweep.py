@@ -63,7 +63,6 @@ from repro.exec import (
     EXEC_BACKENDS,
     JobSpec,
     ResultSink,
-    effective_backend,
     make_executor,
     run_jobs,
 )
@@ -307,11 +306,9 @@ def run_sweep(
     cases = plan_cases(
         experiment, seeds, params=params, grid=grid, early_stop=early_stop
     )
-    # make_executor rejects unknown backend names; effective_backend
-    # keeps the historical jobs<=1 fast path under an explicit
-    # backend="parallel".
+    # make_executor rejects unknown backend names.
     executor = make_executor(
-        effective_backend(backend, len(cases), jobs),
+        backend,
         workers=jobs,
         chunksize=chunksize,
         remote_workers=remote_workers,

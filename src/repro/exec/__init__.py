@@ -15,8 +15,8 @@ The pieces, and where they live:
                           (``repro.exec.executors``,
                           ``repro.exec.remote``)
 :class:`ResultSink`       in-order streaming consumers (``repro.exec.sink``)
-:class:`Journal`          JSONL checkpoint/resume, partition + digest-checked
-                          merge (``repro.exec.journal``)
+:class:`Journal`          JSONL checkpoint/resume for plans and adaptive
+                          campaigns (``repro.exec.journal``)
 :func:`run_jobs`          the one fan-out loop (``repro.exec.core``)
 ========================  ==================================================
 
@@ -34,7 +34,6 @@ from repro.exec.executors import (
     InprocExecutor,
     ParallelExecutor,
     SerialExecutor,
-    effective_backend,
     make_executor,
 )
 from repro.exec.job import (
@@ -45,12 +44,7 @@ from repro.exec.job import (
     run_job,
     shard_form,
 )
-from repro.exec.journal import (
-    CampaignJournal,
-    Journal,
-    merge_journals,
-    partition_jobs,
-)
+from repro.exec.journal import Journal
 from repro.exec.remote import (
     RemoteExecutor,
     RemoteStats,
@@ -75,15 +69,11 @@ __all__ = [
     "parse_worker_spec",
     "run_worker",
     "EXEC_BACKENDS",
-    "effective_backend",
     "make_executor",
     "ResultSink",
     "CollectSink",
     "CallbackSink",
     "TeeSink",
     "Journal",
-    "CampaignJournal",
-    "partition_jobs",
-    "merge_journals",
     "run_jobs",
 ]

@@ -26,7 +26,7 @@ from typing import Any, Sequence
 from repro.errors import SimulationError
 from repro.exec.executors import Executor, SerialExecutor
 from repro.exec.job import JobSpec
-from repro.exec.journal import Journal, partition_jobs
+from repro.exec.journal import Journal
 from repro.exec.sink import ResultSink
 
 _UNSET = object()
@@ -38,7 +38,6 @@ def run_jobs(
     sink: ResultSink | None = None,
     journal: Journal | str | Path | None = None,
     resume: bool = False,
-    partition: tuple[int, int] | None = None,
 ) -> list[Any]:
     """Execute a plan; return its results in planned order.
 
@@ -47,23 +46,14 @@ def run_jobs(
             it is the result order, the sink's emission order, and the
             journal's plan digest.
         executor: engine to run on (default: :class:`SerialExecutor`).
-        sink: optional streaming consumer; receives every result this
-            call owns in planned order as the finished prefix grows,
-            including results restored from a resumed journal.
-            ``open(total)`` announces exactly the number of ``emit``
-            calls that will follow — under ``partition`` that is the
-            worker's share (plus restored results), not the plan size;
-            ``emit`` still carries full-plan indices.
+        sink: optional streaming consumer; receives every result in
+            planned order as the finished prefix grows, including
+            results restored from a resumed journal.
         journal: optional checkpoint file (path or
             :class:`~repro.exec.journal.Journal`). Every completed job is
             recorded as it finishes.
         resume: restore journaled results instead of re-running their
             jobs. Requires ``journal``; the journal must match the plan.
-        partition: optional ``(worker_id, n_workers)`` — execute only
-            this worker's strided share of the plan (journaling it as
-            usual) and return ``None`` placeholders for the rest. A
-            multi-host driver runs one partition per worker, then
-            reassembles with :func:`~repro.exec.journal.merge_journals`.
     """
     if resume and journal is None:
         raise SimulationError("resume=True requires a journal")
@@ -72,40 +62,31 @@ def run_jobs(
     log = Journal(journal) if owned else journal
 
     # The outer try owns the journal handle from the moment begin()
-    # opens it: a bad partition, a sink whose open() raises, a job
-    # exception, or a sink error mid-run must all still close an owned
-    # journal (the flushed lines it already holds are a valid resumable
-    # checkpoint either way).
+    # opens it: a sink whose open() raises, a job exception, or a sink
+    # error mid-run must all still close an owned journal (the flushed
+    # lines it already holds are a valid resumable checkpoint either
+    # way).
     cached: dict[int, Any] = {}
     try:
         if log is not None:
             cached = log.begin(jobs, resume=resume)
-
-        if partition is None:
-            share = list(enumerate(jobs))
-        else:
-            share = partition_jobs(jobs, *partition)
-        pending = [(i, job) for i, job in share if i not in cached]
-        mine = {i for i, _ in share} | set(cached)
+        pending = [(i, job) for i, job in enumerate(jobs) if i not in cached]
 
         results: list[Any] = [_UNSET] * len(jobs)
         for index, result in cached.items():
             results[index] = result
 
         # The emit cursor: results stream to the sink in planned order,
-        # each released the moment it and everything before it (that
-        # this worker owns) is available.
+        # each released the moment it and everything before it is
+        # available.
         cursor = 0
 
         def release_prefix() -> None:
             nonlocal cursor
             if sink is None:
                 return
-            while cursor < len(jobs) and (
-                cursor not in mine or results[cursor] is not _UNSET
-            ):
-                if cursor in mine:
-                    sink.emit(cursor, jobs[cursor], results[cursor])
+            while cursor < len(jobs) and results[cursor] is not _UNSET:
+                sink.emit(cursor, jobs[cursor], results[cursor])
                 cursor += 1
 
         def on_result(index: int, result: Any) -> None:
@@ -115,11 +96,9 @@ def run_jobs(
             release_prefix()
 
         if sink is not None:
-            # Announce exactly what will be emitted: every index this
-            # call owns (its partition share plus journal-restored
-            # results). close() pairs with a *successful* open, so the
-            # inner try starts only after it.
-            sink.open(len(mine))
+            # close() pairs with a *successful* open, so the inner try
+            # starts only after it.
+            sink.open(len(jobs))
         try:
             release_prefix()  # journaled results are already available
             executor.submit(pending, on_result)
@@ -130,10 +109,10 @@ def run_jobs(
         if log is not None and owned:
             log.close()
 
-    missing = [i for i, _ in share if results[i] is _UNSET]
+    missing = [i for i, result in enumerate(results) if result is _UNSET]
     if missing:
         raise SimulationError(
             f"executor {executor.name!r} completed without reporting "
             f"{len(missing)} job(s) (first: {missing[0]})"
         )
-    return [r if r is not _UNSET else None for r in results]
+    return results

@@ -8,11 +8,10 @@ and fuzz subsystems, now shared by everything that fans out work:
 * :class:`ParallelExecutor` — a ``multiprocessing`` pool; jobs ship to
   workers by pickling and results stream back in planned order.
 * :class:`~repro.exec.remote.RemoteExecutor` — multi-host dispatch over
-  TCP: the plan is partitioned with
-  :func:`~repro.exec.journal.partition_jobs`, each share shipped to a
-  worker process (``python -m repro worker``), and completed results
-  streamed back as journal-shaped lines while the coordinator watches
-  the workers with the repo's own failure detectors.
+  TCP: the plan is split into strided shares, each shipped to a worker
+  process (``python -m repro worker``), and completed results streamed
+  back as journal-shaped lines while the coordinator watches the
+  workers with the repo's own failure detectors.
 * :class:`InprocExecutor` — in this process, with scheduler heap storage
   recycled between jobs via
   :class:`~repro.sim.scheduler.SchedulerStoragePool`. Jobs that advertise
@@ -86,7 +85,10 @@ class ParallelExecutor(Executor):
     (ordered ``imap``), so the first results reach the journal and sinks
     while later chunks are still computing. ``chunksize`` trades dispatch
     overhead against streaming granularity exactly as it did in the old
-    sweep pool; the default matches it.
+    sweep pool; the default matches it. With one worker, or fewer than
+    two pending jobs, a pool is pure spawn/pickle overhead for
+    bit-identical results, so the jobs run inline through
+    :func:`~repro.exec.job.run_job` and no pool is opened.
     """
 
     name = "parallel"
@@ -96,7 +98,9 @@ class ParallelExecutor(Executor):
         self.chunksize = chunksize
 
     def submit(self, pending: Pending, on_result: OnResult) -> None:
-        if not pending:
+        if self.workers <= 1 or len(pending) < 2:
+            for index, job in pending:
+                on_result(index, run_job(job))
             return
         # Prefer fork only on Linux: it is cheap there, while macOS
         # defaults to spawn for a reason (forked children can abort in
@@ -180,20 +184,6 @@ class InprocExecutor(Executor):
             for index, job in pending:
                 on_result(index, self._run(job))
                 pool.reclaim()
-
-
-def effective_backend(backend: str, n_jobs: int, workers: int) -> str:
-    """Backend-policy normalisation shared by every planner.
-
-    ``"parallel"`` degenerates to ``"serial"`` unless there is both more
-    than one job and more than one worker: a one-worker pool (or a pool
-    for a single job) is pure spawn/pickle overhead for bit-identical
-    results. Every other backend passes through unchanged — including
-    unknown names, which :func:`make_executor` rejects.
-    """
-    if backend == "parallel" and not (n_jobs > 1 and workers > 1):
-        return "serial"
-    return backend
 
 
 def make_executor(

@@ -1,8 +1,8 @@
 """JSONL journals: checkpoint/resume for long deterministic runs.
 
-A journal is an append-only JSONL file recording one result line per
-completed job, plus a header line binding the file to its *plan* (the
-ordered job list, hashed with :func:`repro.exec.job.plan_digest`). Because
+A journal is an append-only JSONL file of typed lines: a header binding
+the file to the run it checkpoints, one result line per completed job,
+and, for adaptive campaigns, one coverage checkpoint per batch. Because
 every job is a pure function of its spec, a journaled result **is** the
 result — resuming a killed run restores the recorded objects bit-for-bit
 and re-executes only the jobs with no line, so the merged output (and any
@@ -10,8 +10,23 @@ digest over it) is identical to an uninterrupted run's.
 
 File format (one JSON object per line)::
 
-    {"kind": "header", "version": 1, "plan": "<sha256>", "total": N}
+    {"kind": "header", "version": 1, "plan": "<sha256>", "total": N, "core": "pure"}
     {"kind": "result", "index": 3, "job": "<sha256>", "data": "<base64>"}
+    {"kind": "coverage", "batch": 2, "upto": 150, "digest": "<sha256>"}
+
+The header binds either a *plan* (``"plan"``: the ordered job list,
+hashed with :func:`repro.exec.job.plan_digest`; what
+:func:`~repro.exec.core.run_jobs` writes) or an adaptive *campaign*
+(``"campaign"``: a content hash of the campaign inputs, for runs whose
+jobs unfold batch by batch; see
+:func:`~repro.analysis.fuzz.run_adaptive_fuzz`). Every result line
+carries its job's :func:`~repro.exec.job.job_digest`, checked against the
+job the resuming run planned at that index — for the whole plan at
+:meth:`Journal.begin`, or batch by batch through :meth:`Journal.restore`
+for a campaign. Coverage lines let an adaptive resume cross-check that
+its recomputed coverage fold reproduces the original run's byte for
+byte. ``core`` is informational: results are bit-identical across event
+cores, so a journal written under one core resumes under the other.
 
 ``data`` is the pickled result, base64-armoured so the line stays valid
 JSON. Pickle is the right serialisation here: journal files are local
@@ -19,22 +34,17 @@ checkpoints written and read by the same codebase, the results are the
 same frozen dataclasses the subprocess pool already pickles, and exact
 object restoration is precisely what digest-identical resume requires.
 Journals are not an interchange format; do not load journals from
-untrusted sources.
+untrusted sources. A line that is not a JSON object, or an object that is
+not a valid entry, is refused with a one-line
+:class:`~repro.errors.SimulationError`.
 
-Crash tolerance: every result line is flushed as written, and a load
-tolerates a torn final line (the unflushed victim of a kill) by dropping
-it. A resume first *rewrites* the file from its salvageable entries —
+Crash tolerance: every line is flushed as written, and a load tolerates a
+torn final line (the unflushed victim of a kill) by dropping it. A resume
+first *rewrites* the file from its salvageable lines, copied verbatim —
 into a temp file that is fsynced and atomically renamed over the
 original, so a kill during the rewrite itself leaves either the old
 salvageable journal or the complete new one, never less — and the append
 stream after a torn line can never corrupt the journal.
-
-Multi-host readiness: :func:`partition_jobs` deterministically assigns a
-case subset to ``(worker_id, n_workers)``, and :func:`merge_journals`
-reassembles per-worker journals into one full result list, checking every
-entry's job hash against the plan and refusing holes or conflicting
-duplicates — so a future remote dispatch backend only has to ship jobs
-out and journal lines back.
 """
 
 from __future__ import annotations
@@ -44,13 +54,25 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import IO, Any, Sequence
+from typing import IO, Any, Iterable, Sequence
 
 from repro import _core
 from repro.errors import SimulationError
 from repro.exec.job import JobSpec, job_digest, plan_digest
 
 JOURNAL_VERSION = 1
+
+# Header key -> (what the header binds, the inputs that change it).
+_BINDINGS = {
+    "plan": ("plan", "experiment, seeds, params, or config"),
+    "campaign": ("adaptive campaign", "seed, count, batch size, or config"),
+}
+
+# Entry kind -> its required fields, in line order.
+_FIELDS = {
+    "result": ("index", "job", "data"),
+    "coverage": ("batch", "upto", "digest"),
+}
 
 
 def _encode(result: Any) -> str:
@@ -63,6 +85,29 @@ def _decode(data: str) -> Any:
     return pickle.loads(base64.b64decode(data.encode("ascii")))
 
 
+def _json_object(raw: str | bytes, where: str) -> dict:
+    """Decode one JSON object — a journal line or a wire frame.
+
+    Anything else (bytes that are not UTF-8, text that is not JSON, JSON
+    that is not an object) is a one-line
+    :class:`~repro.errors.SimulationError` naming ``where``.
+    """
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        obj = json.loads(text)
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise SimulationError(f"{where}: not JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise SimulationError(
+            f"{where}: a JSON {type(obj).__name__}, not an object"
+        )
+    return obj
+
+
+def _result_line(index: int, job_hash: str, data: str) -> dict:
+    return {"kind": "result", "index": index, "job": job_hash, "data": data}
+
+
 class Journal:
     """One run's checkpoint file; see the module docstring for format.
 
@@ -73,6 +118,10 @@ class Journal:
             cached = journal.begin(jobs, resume=True)  # {} on a fresh file
             ... run the jobs not in `cached`, calling journal.record(...)
 
+    An adaptive campaign opens with :meth:`begin_campaign` instead, then
+    takes each batch's journaled results with :meth:`restore` and closes
+    each batch with :meth:`record_coverage`.
+
     A journal is a context manager so the append handle ``begin`` opens
     is closed deterministically on any exit path; ``close()`` remains
     available (and idempotent) for callers managing the lifecycle by
@@ -82,6 +131,12 @@ class Journal:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._fh: IO[str] | None = None
+        self._key = "plan"
+        # Salvaged by a resume, not yet handed out: results as
+        # {index: (job hash, raw data, decoded result)}, coverage lines
+        # as {batch: line}.
+        self._results: dict[int, tuple[str, str, Any]] = {}
+        self._coverage: dict[int, dict] = {}
 
     def __enter__(self) -> "Journal":
         return self
@@ -110,38 +165,44 @@ class Journal:
     ) -> dict[int, tuple[str, Any]]:
         """Salvaged entries as ``{index: (raw payload, decoded result)}``.
 
-        The raw payload string is kept alongside the decoded object so
-        duplicate detection (here and in :func:`merge_journals`) compares
-        the journal's actual bytes, and the resume rewrite copies entries
-        verbatim instead of pickle round-tripping every result. Reads the
-        file in one shot and holds no handle afterwards; validation is
-        exactly :meth:`load`'s (plan binding, per-entry job hashes,
-        tolerated torn final line).
+        Reads the file in one shot and holds no handle afterwards;
+        validation is exactly :meth:`begin`'s (plan binding, per-entry
+        job hashes, tolerated torn final line).
         """
+        results, _ = self._read("plan", plan_digest(jobs), len(jobs))
+        for index, (job_hash, _, _) in results.items():
+            self._check(index, job_hash, jobs[index], "plan")
+        return {
+            index: (data, result)
+            for index, (_, data, result) in results.items()
+        }
+
+    def _read(
+        self, key: str, binding: str, total: int
+    ) -> tuple[dict[int, tuple[str, str, Any]], dict[int, dict]]:
+        """The file's salvageable results and coverage lines, validated
+        against the header binding ``key: binding``; empty if no file."""
         if not self.path.exists():
-            return {}
-        plan = plan_digest(jobs)
-        cached: dict[int, tuple[str, Any]] = {}
+            return {}, {}
         try:
             lines = self.path.read_text().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SimulationError(
                 f"cannot read journal {self.path}: {exc}"
             ) from exc
-        if not lines:
-            return {}
-        for lineno, line in enumerate(lines):
+        if lines:
             try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    continue  # torn final line: the kill's half-write
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    "(only the final line may be torn)"
-                ) from None
+                json.loads(lines[-1])
+            except ValueError:
+                lines.pop()  # torn final line: the kill's half-write
+        what, inputs = _BINDINGS[key]
+        results: dict[int, tuple[str, str, Any]] = {}
+        coverage: dict[int, dict] = {}
+        for lineno, line in enumerate(lines, 1):
+            where = f"journal {self.path}: corrupt line {lineno}"
+            entry = _json_object(line, where)
             kind = entry.get("kind")
-            if lineno == 0:
+            if lineno == 1:
                 if kind != "header":
                     raise SimulationError(
                         f"journal {self.path}: missing header line"
@@ -151,55 +212,65 @@ class Journal:
                         f"journal {self.path}: unsupported version "
                         f"{entry.get('version')!r}"
                     )
-                if entry.get("plan") != plan:
+                if entry.get(key) != binding:
                     raise SimulationError(
                         f"journal {self.path} was written for a different "
-                        "plan (experiment, seeds, params, or config "
-                        "changed); delete it or drop --resume"
+                        f"{what} ({inputs} changed); delete it or drop "
+                        "--resume"
                     )
                 continue
-            if kind != "result":
-                raise SimulationError(
-                    f"journal {self.path}: unknown entry kind {kind!r} "
-                    f"on line {lineno + 1}"
-                )
             # Valid JSON is not yet a valid entry: a kill (or a foreign
             # writer) can leave a line that parses but lacks fields or
             # carries an undecodable payload. Surface every such case as
             # the same friendly corrupt-line error the parse path gets.
-            try:
-                index = entry["index"]
-                job_hash = entry["job"]
-                data = entry["data"]
-            except KeyError as exc:
+            fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+            if fields is None:
                 raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    f"(result entry missing field {exc.args[0]!r})"
-                ) from None
-            if not isinstance(index, int) or not 0 <= index < len(jobs):
+                    f"journal {self.path}: unknown entry kind {kind!r} "
+                    f"on line {lineno}"
+                )
+            missing = [name for name in fields if name not in entry]
+            if missing:
+                raise SimulationError(
+                    f"{where} ({kind} entry missing field {missing[0]!r})"
+                )
+            if kind == "coverage":
+                batch = entry["batch"]
+                if not isinstance(batch, int):
+                    raise SimulationError(
+                        f"{where} (coverage batch {batch!r} is not an "
+                        "integer)"
+                    )
+                coverage[batch] = entry
+                continue
+            index, job_hash, data = (entry[name] for name in fields)
+            if not isinstance(index, int) or not 0 <= index < total:
                 raise SimulationError(
                     f"journal {self.path}: result index {index!r} outside "
-                    f"the {len(jobs)}-job plan"
-                )
-            if job_hash != job_digest(jobs[index]):
-                raise SimulationError(
-                    f"journal {self.path}: job hash mismatch at index "
-                    f"{index}; the journal belongs to a different plan"
+                    f"the {total}-job {what}"
                 )
             try:
                 result = _decode(data)
             except Exception as exc:
                 raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    f"(undecodable payload at index {index}: {exc})"
+                    f"{where} (undecodable payload at index {index}: {exc})"
                 ) from None
-            if index in cached and data != cached[index][0]:
+            if index in results and data != results[index][1]:
                 raise SimulationError(
                     f"journal {self.path}: conflicting duplicate entries "
                     f"for index {index}"
                 )
-            cached[index] = (data, result)
-        return cached
+            results[index] = (job_hash, data, result)
+        return results, coverage
+
+    def _check(self, index: int, job_hash: str, job: JobSpec, key: str):
+        if job_hash != job_digest(job):
+            what, inputs = _BINDINGS[key]
+            raise SimulationError(
+                f"journal {self.path}: job hash mismatch at index {index}; "
+                f"the journaled {what} diverged from this one ({inputs} "
+                "changed); delete it or drop --resume"
+            )
 
     # ------------------------------------------------------------------
     # Writing
@@ -211,34 +282,49 @@ class Journal:
         """Open the journal for appending; return salvaged results.
 
         With ``resume`` the file is first loaded (validating it against
-        ``jobs``) and rewritten cleanly from its salvageable entries —
+        ``jobs``) and rewritten cleanly from its salvageable lines —
         written to a sibling temp file and atomically renamed into
         place, so a second kill at any point leaves either the old
         salvageable file or the complete rewrite, never less — and
-        appends never follow a torn line. Entries are copied verbatim
-        (no pickle round trip). Without ``resume`` any existing file is
-        truncated and the run starts fresh.
+        appends never follow a torn line. Lines are copied verbatim
+        (no pickle round trip, no rehashing). Without ``resume`` any
+        existing file is truncated and the run starts fresh.
         """
-        cached = self.entries(jobs) if resume else {}
+        self._open("plan", plan_digest(jobs), len(jobs), resume)
+        return self.restore(enumerate(jobs))
+
+    def begin_campaign(
+        self, campaign: str, total: int, resume: bool = False
+    ) -> None:
+        """Open the journal of an adaptive campaign for appending.
+
+        Exactly :meth:`begin`, with the header bound to the ``campaign``
+        digest of a ``total``-scenario run; its results are handed out
+        batch by batch through :meth:`restore`.
+        """
+        self._open("campaign", campaign, total, resume)
+
+    def _open(self, key: str, binding: str, total: int, resume: bool):
+        results, coverage = (
+            self._read(key, binding, total) if resume else ({}, {})
+        )
         header = {
             "kind": "header",
             "version": JOURNAL_VERSION,
-            "plan": plan_digest(jobs),
-            "total": len(jobs),
-            # Informational: which event core wrote this file. Results
-            # are bit-identical across cores, so resume does not (and
-            # must not) validate it — a journal written under one core
-            # resumes under the other.
+            key: binding,
+            "total": total,
             "core": _core.ACTIVE_IMPL,
         }
+        lines = [header]
+        lines += [
+            _result_line(index, results[index][0], results[index][1])
+            for index in sorted(results)
+        ]
+        lines += [coverage[batch] for batch in sorted(coverage)]
         tmp = self.path.with_name(self.path.name + ".rewrite")
         try:
             with tmp.open("w") as fh:
-                fh.write(json.dumps(header) + "\n")
-                for index in sorted(cached):
-                    self._write_entry(
-                        fh, index, jobs[index], cached[index][0]
-                    )
+                fh.writelines(json.dumps(line) + "\n" for line in lines)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)
@@ -247,255 +333,56 @@ class Journal:
             raise SimulationError(
                 f"cannot write journal {self.path}: {exc}"
             ) from exc
-        return {index: result for index, (_, result) in cached.items()}
+        self._key, self._results, self._coverage = key, results, coverage
+
+    def restore(self, jobs: Iterable[tuple[int, JobSpec]]) -> dict[int, Any]:
+        """Journaled results for these ``(index, job)`` pairs.
+
+        Each salvaged entry's job hash is checked against the job now
+        planned at its index (a mismatch means the run diverged from the
+        journaled one); indices with no entry are simply absent.
+        """
+        restored = {}
+        for index, job in jobs:
+            entry = self._results.pop(index, None)
+            if entry is not None:
+                self._check(index, entry[0], job, self._key)
+                restored[index] = entry[2]
+        return restored
 
     def record(self, index: int, job: JobSpec, result: Any) -> None:
         """Append one completed result; flushed so a kill loses at most
         the line being written."""
-        if self._fh is None:
-            raise SimulationError(
-                f"journal {self.path} not open; call begin() first"
-            )
-        try:
-            self._write_entry(self._fh, index, job, _encode(result))
-            self._fh.flush()
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot write journal {self.path}: {exc}"
-            ) from exc
-
-    def _write_entry(self, fh, index: int, job: JobSpec, data: str) -> None:
-        entry = {
-            "kind": "result",
-            "index": index,
-            "job": job_digest(job),
-            "data": data,
-        }
-        fh.write(json.dumps(entry) + "\n")
-
-    def close(self) -> None:
-        """Close the file handle (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-# ----------------------------------------------------------------------
-# Campaign journals (adaptive runs, whose plans unfold batch by batch)
-# ----------------------------------------------------------------------
-
-
-class CampaignJournal:
-    """Checkpoint file for runs whose job plan is not known upfront.
-
-    An adaptive fuzz campaign derives batch *k*'s jobs from the coverage
-    of batches ``0..k-1`` — there is no full plan to digest at open time,
-    so a :class:`Journal` header cannot bind the file. A campaign journal
-    binds the header to a *campaign digest* instead (a content hash of
-    the campaign inputs — seed, count, batch size, config) and defers
-    per-entry job-hash validation to the driver, which recomputes each
-    batch's jobs during resume and checks the salvaged entries against
-    them (the entries themselves still carry the same
-    :func:`~repro.exec.job.job_digest` result lines a plain journal
-    uses).
-
-    Extra line kind: after each batch the driver records a **coverage
-    checkpoint**, so a resume can cross-check that its recomputed
-    coverage fold reproduces the original run's byte for byte::
-
-        {"kind": "coverage", "batch": 2, "upto": 150, "digest": "<sha256>"}
-
-    Crash tolerance is the plain journal's: flushed result lines, a
-    tolerated torn final line, and an atomic rewrite on resume.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh: IO[str] | None = None
-
-    def _load_entries(
-        self, campaign: str, total: int
-    ) -> tuple[dict[int, tuple[str, str, Any]], dict[int, dict]]:
-        """Salvaged lines: ``({index: (job hash, raw data, result)},
-        {batch: coverage entry})``; empty on a missing file."""
-        if not self.path.exists():
-            return {}, {}
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot read journal {self.path}: {exc}"
-            ) from exc
-        if not lines:
-            return {}, {}
-        cached: dict[int, tuple[str, str, Any]] = {}
-        checkpoints: dict[int, dict] = {}
-        for lineno, line in enumerate(lines):
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    continue  # torn final line: the kill's half-write
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    "(only the final line may be torn)"
-                ) from None
-            kind = entry.get("kind")
-            if lineno == 0:
-                if kind != "header":
-                    raise SimulationError(
-                        f"journal {self.path}: missing header line"
-                    )
-                if entry.get("version") != JOURNAL_VERSION:
-                    raise SimulationError(
-                        f"journal {self.path}: unsupported version "
-                        f"{entry.get('version')!r}"
-                    )
-                if entry.get("campaign") != campaign:
-                    raise SimulationError(
-                        f"journal {self.path} was written for a different "
-                        "adaptive campaign (seed, count, batch size, or "
-                        "config changed); delete it or drop --resume"
-                    )
-                continue
-            if kind == "coverage":
-                try:
-                    batch = entry["batch"]
-                    entry["upto"], entry["digest"]
-                except KeyError as exc:
-                    raise SimulationError(
-                        f"journal {self.path}: corrupt line {lineno + 1} "
-                        f"(coverage entry missing field {exc.args[0]!r})"
-                    ) from None
-                checkpoints[batch] = entry
-                continue
-            if kind != "result":
-                raise SimulationError(
-                    f"journal {self.path}: unknown entry kind {kind!r} "
-                    f"on line {lineno + 1}"
-                )
-            try:
-                index = entry["index"]
-                job_hash = entry["job"]
-                data = entry["data"]
-            except KeyError as exc:
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    f"(result entry missing field {exc.args[0]!r})"
-                ) from None
-            if not isinstance(index, int) or not 0 <= index < total:
-                raise SimulationError(
-                    f"journal {self.path}: result index {index!r} outside "
-                    f"the {total}-scenario campaign"
-                )
-            try:
-                result = _decode(data)
-            except Exception as exc:
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    f"(undecodable payload at index {index}: {exc})"
-                ) from None
-            if index in cached and data != cached[index][1]:
-                raise SimulationError(
-                    f"journal {self.path}: conflicting duplicate entries "
-                    f"for index {index}"
-                )
-            cached[index] = (job_hash, data, result)
-        return cached, checkpoints
-
-    def begin(
-        self, campaign: str, total: int, resume: bool = False
-    ) -> tuple[dict[int, tuple[str, Any]], dict[int, dict]]:
-        """Open for appending; return salvaged results and checkpoints.
-
-        With ``resume`` the file is loaded (validating the campaign
-        binding) and atomically rewritten from its salvageable entries,
-        exactly like :meth:`Journal.begin`. The returned results map is
-        ``{index: (job hash, result)}`` — the caller validates each job
-        hash when it reconstructs that index's job. Without ``resume``
-        any existing file is truncated.
-        """
-        cached, checkpoints = (
-            self._load_entries(campaign, total) if resume else ({}, {})
-        )
-        header = {
-            "kind": "header",
-            "version": JOURNAL_VERSION,
-            "campaign": campaign,
-            "total": total,
-            # Informational only — never validated on resume (see
-            # Journal.begin).
-            "core": _core.ACTIVE_IMPL,
-        }
-        tmp = self.path.with_name(self.path.name + ".rewrite")
-        try:
-            with tmp.open("w") as fh:
-                fh.write(json.dumps(header) + "\n")
-                for index in sorted(cached):
-                    job_hash, data, _ = cached[index]
-                    fh.write(
-                        json.dumps(
-                            {
-                                "kind": "result",
-                                "index": index,
-                                "job": job_hash,
-                                "data": data,
-                            }
-                        )
-                        + "\n"
-                    )
-                for batch in sorted(checkpoints):
-                    fh.write(json.dumps(checkpoints[batch]) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            self._fh = self.path.open("a")
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot write journal {self.path}: {exc}"
-            ) from exc
-        return (
-            {
-                index: (job_hash, result)
-                for index, (job_hash, _, result) in cached.items()
-            },
-            checkpoints,
-        )
-
-    def record(self, index: int, job: JobSpec, result: Any) -> None:
-        """Append one completed result (flushed, like Journal.record)."""
-        if self._fh is None:
-            raise SimulationError(
-                f"journal {self.path} not open; call begin() first"
-            )
-        entry = {
-            "kind": "result",
-            "index": index,
-            "job": job_digest(job),
-            "data": _encode(result),
-        }
-        try:
-            self._fh.write(json.dumps(entry) + "\n")
-            self._fh.flush()
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot write journal {self.path}: {exc}"
-            ) from exc
+        self._append(_result_line(index, job_digest(job), _encode(result)))
 
     def record_coverage(self, batch: int, upto: int, digest: str) -> None:
-        """Append one batch's coverage checkpoint (flushed)."""
+        """Append one batch's coverage checkpoint — or, when the resumed
+        journal already holds that batch's, check that it matches."""
+        saved = self._coverage.get(batch)
+        if saved is None:
+            self._append(
+                {
+                    "kind": "coverage",
+                    "batch": batch,
+                    "upto": upto,
+                    "digest": digest,
+                }
+            )
+        elif saved.get("digest") != digest or saved.get("upto") != upto:
+            raise SimulationError(
+                f"journal {self.path}: coverage checkpoint mismatch at "
+                f"batch {batch}; the resumed fold does not reproduce the "
+                "original run (code or config drift); delete the journal "
+                "or drop --resume"
+            )
+
+    def _append(self, line: dict) -> None:
         if self._fh is None:
             raise SimulationError(
                 f"journal {self.path} not open; call begin() first"
             )
-        entry = {
-            "kind": "coverage",
-            "batch": batch,
-            "upto": upto,
-            "digest": digest,
-        }
         try:
-            self._fh.write(json.dumps(entry) + "\n")
+            self._fh.write(json.dumps(line) + "\n")
             self._fh.flush()
         except OSError as exc:
             raise SimulationError(
@@ -507,69 +394,3 @@ class CampaignJournal:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-# ----------------------------------------------------------------------
-# Multi-host partition / merge (the remote-dispatch seam)
-# ----------------------------------------------------------------------
-
-
-def partition_jobs(
-    jobs: Sequence[JobSpec], worker_id: int, n_workers: int
-) -> list[tuple[int, JobSpec]]:
-    """Worker ``worker_id``'s strided share of the plan, with indices.
-
-    Strided (round-robin) assignment keeps every worker's finished
-    results spread across the whole index range, so the in-order
-    streaming prefix at the merge point grows steadily instead of
-    stalling on one worker's contiguous block. Deterministic: the
-    partition depends only on ``(len(jobs), worker_id, n_workers)``.
-    """
-    if n_workers < 1:
-        raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
-    if not 0 <= worker_id < n_workers:
-        raise SimulationError(
-            f"worker_id must be in [0, {n_workers}), got {worker_id}"
-        )
-    return [
-        (index, job)
-        for index, job in enumerate(jobs)
-        if index % n_workers == worker_id
-    ]
-
-
-def merge_journals(
-    jobs: Sequence[JobSpec], paths: Sequence[str | Path]
-) -> list[Any]:
-    """Reassemble per-worker journals into the full, ordered result list.
-
-    Every journal is validated against the plan (header digest and
-    per-entry job hashes); overlapping entries must agree bit-for-bit;
-    a missing index is an error naming it. The returned list is in
-    planned order, so any digest over it matches a single-host run's.
-
-    An empty plan with no journals merges to ``[]`` — the degenerate a
-    zero-case sweep hands the remote backend.
-    """
-    if not jobs and not paths:
-        return []
-    merged: dict[int, tuple[str, Any]] = {}
-    for path in paths:
-        with Journal(path) as journal:
-            if not journal.path.exists():
-                raise SimulationError(f"journal {path} does not exist")
-            for index, (data, result) in journal.entries(jobs).items():
-                if index in merged and merged[index][0] != data:
-                    raise SimulationError(
-                        f"journals disagree on index {index}; "
-                        "refusing to merge"
-                    )
-                merged[index] = (data, result)
-    missing = [i for i in range(len(jobs)) if i not in merged]
-    if missing:
-        preview = ", ".join(map(str, missing[:5]))
-        raise SimulationError(
-            f"merge incomplete: {len(missing)} of {len(jobs)} jobs have "
-            f"no journaled result (first missing: {preview})"
-        )
-    return [merged[i][1] for i in range(len(jobs))]

@@ -12,9 +12,9 @@ and treats suspicion the way the paper says it must be treated: as a
 possibly-erroneous verdict. A worker declared failed has its unfinished
 jobs reassigned to survivors; if the suspicion was false and the worker's
 late results still arrive, they are *accepted* — jobs are pure functions
-of their specs, so duplicates are bit-identical and safe to reconcile
-(the same property that makes :func:`~repro.exec.journal.merge_journals`
-tolerate overlapping journals).
+of their specs, so duplicates are bit-identical and safe to reconcile:
+the coordinator keeps one payload hash per finished index, drops a
+duplicate that agrees with it, and refuses one that does not.
 
 Topology and protocol::
 
@@ -28,26 +28,27 @@ Topology and protocol::
         ── shutdown ──▶
 
 Every frame is one JSON object behind a 4-byte big-endian length prefix.
-Job specs and results travel pickled and base64-armoured — the exact
-encoding of a journal line, because a result frame *is* a journal line
-in flight: the coordinator's :func:`~repro.exec.core.run_jobs` loop
-records each one to its journal as it lands, so a multi-host run's
-checkpoint file is indistinguishable from a single-host run's, and the
-merged result list (and any digest over it) is bit-identical to a serial
-run by construction. The same trust model applies too: frames carry
-pickles, so only run workers you control — this is a dispatch protocol
-for your own fleet, not an interchange format. The fleet must also be
-*homogeneous*: duplicate results (from falsely-suspected workers whose
-jobs were reassigned) are reconciled by comparing the armoured pickle
-bytes, so every worker must run the same Python and pickle protocol as
-the coordinator, or semantically identical results can differ byte-wise
-and be refused as disagreement.
+A frame that is not UTF-8 JSON text of one object is refused with a
+one-line :class:`~repro.errors.SimulationError`; journal lines and frames
+decode through the same helper. Job specs and results travel pickled and
+base64-armoured — the exact encoding of a journal line, because a result
+frame *is* a journal line in flight: the coordinator's
+:func:`~repro.exec.core.run_jobs` loop records each one to its journal
+as it lands, so a multi-host run's checkpoint file is indistinguishable
+from a single-host run's, and the result list (and any digest over it)
+is bit-identical to a serial run by construction. The same trust model
+applies too: frames carry pickles, so only run workers you control —
+this is a dispatch protocol for your own fleet, not an interchange
+format. The fleet must also be *homogeneous*: duplicate results (from
+falsely-suspected workers whose jobs were reassigned) are reconciled by
+comparing the armoured pickle bytes, so every worker must run the same
+Python and pickle protocol as the coordinator, or semantically identical
+results can differ byte-wise and be refused as disagreement.
 
-Partitioning rides the PR 5 seam: the coordinator splits the pending
-plan with :func:`~repro.exec.journal.partition_jobs` (strided, so every
-worker's finished results spread across the index range and the
-in-order streaming prefix grows steadily), ships each share, and streams
-completions back the moment they land.
+The coordinator splits the pending plan with :func:`partition_jobs`
+(strided, so every worker's finished results spread across the index
+range and the in-order streaming prefix grows steadily), ships each
+share, and streams completions back the moment they land.
 
 Deployment shapes (``spawn`` / ``accept`` / ``hosts``):
 
@@ -90,9 +91,10 @@ from repro.errors import SimulationError
 from repro.exec.executors import Executor, OnResult, Pending
 from repro.exec.job import JobSpec, job_digest, run_job
 
-# The journal's pickle+base64 armour, reused on the wire on purpose: a
-# result frame carries exactly the payload a journal line records.
-from repro.exec.journal import _decode, _encode, partition_jobs
+# The journal's pickle+base64 armour and its one-JSON-object decoder,
+# reused on the wire on purpose: a result frame carries exactly the
+# payload a journal line records.
+from repro.exec.journal import _decode, _encode, _json_object
 
 PROTOCOL_VERSION = 1
 """Wire protocol version; hello/welcome frames must agree on it."""
@@ -146,6 +148,26 @@ def parse_worker_spec(spec: int | str | Sequence[str] | None) -> dict:
     return {"hosts": hosts}
 
 
+def partition_jobs(
+    jobs: Sequence[JobSpec], worker_id: int, n_workers: int
+) -> list[tuple[int, JobSpec]]:
+    """Worker ``worker_id``'s strided share of the plan, with indices.
+
+    Strided (round-robin) assignment keeps every worker's finished
+    results spread across the whole index range, so the in-order
+    streaming prefix grows steadily instead of stalling on one worker's
+    contiguous block. Deterministic: the partition depends only on
+    ``(len(jobs), worker_id, n_workers)``.
+    """
+    if n_workers < 1:
+        raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
+    if not 0 <= worker_id < n_workers:
+        raise SimulationError(
+            f"worker_id must be in [0, {n_workers}), got {worker_id}"
+        )
+    return list(enumerate(jobs))[worker_id::n_workers]
+
+
 # ----------------------------------------------------------------------
 # Framing: one JSON object per 4-byte length-prefixed frame
 # ----------------------------------------------------------------------
@@ -168,7 +190,7 @@ def _recv_frame(sock: socket.socket) -> dict:
         raise SimulationError(
             f"oversized frame ({length} bytes); corrupt stream?"
         )
-    return json.loads(_recv_exact(sock, length).decode("utf-8"))
+    return _json_object(_recv_exact(sock, length), "malformed frame")
 
 
 def _send_frame(
@@ -233,7 +255,7 @@ class _Channel:
             return None
         payload = bytes(self._buf[4 : 4 + length])
         del self._buf[: 4 + length]
-        return json.loads(payload.decode("utf-8"))
+        return _json_object(payload, "malformed frame")
 
     def send(self, obj: dict) -> bool:
         """Send one frame; ``False`` (and closed) if the peer is gone."""
@@ -474,10 +496,10 @@ class _WorkerSession:
 class RemoteExecutor(Executor):
     """Ships job partitions to worker processes over TCP; fault tolerant.
 
-    The plan is split with :func:`~repro.exec.journal.partition_jobs`,
-    one strided share per worker; results stream back as they complete
-    and reach ``on_result`` in arrival order (the execution core launders
-    them into planned order, exactly as for every other executor).
+    The plan is split with :func:`partition_jobs`, one strided share per
+    worker; results stream back as they complete and reach ``on_result``
+    in arrival order (the execution core launders them into planned
+    order, exactly as for every other executor).
     Workers are watched with the repo's own failure detectors on
     wall-clock time; a worker declared failed has its unfinished indices
     reassigned to survivors, and late results from falsely-suspected

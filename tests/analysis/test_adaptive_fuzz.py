@@ -6,6 +6,7 @@ worker count, and journal resume point may change *where and when* work
 happens, never the report, the coverage map, or any digest.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,41 @@ class TestAdaptiveJournal:
                 journal=path, resume=True,
             )
 
+
+    def _tamper(self, path, kind, field):
+        """Overwrite ``field`` on the last line of ``kind`` in the
+        journal with a well-formed but wrong hash."""
+        lines = path.read_text().splitlines()
+        at = max(
+            i for i, line in enumerate(lines)
+            if json.loads(line)["kind"] == kind
+        )
+        entry = json.loads(lines[at])
+        entry[field] = "0" * 64
+        lines[at] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_resume_refuses_a_tampered_result_hash(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        run_adaptive_fuzz(seed=SEED, count=COUNT, batch=BATCH, journal=path)
+        self._tamper(path, "result", "job")
+        with pytest.raises(SimulationError, match="diverged"):
+            run_adaptive_fuzz(
+                seed=SEED, count=COUNT, batch=BATCH,
+                journal=path, resume=True,
+            )
+
+    def test_resume_refuses_a_tampered_coverage_checkpoint(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        run_adaptive_fuzz(seed=SEED, count=COUNT, batch=BATCH, journal=path)
+        self._tamper(path, "coverage", "digest")
+        with pytest.raises(
+            SimulationError, match="coverage checkpoint mismatch"
+        ):
+            run_adaptive_fuzz(
+                seed=SEED, count=COUNT, batch=BATCH,
+                journal=path, resume=True,
+            )
 
 class _CollectingSink:
     def __init__(self):

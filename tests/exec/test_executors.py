@@ -52,17 +52,33 @@ class TestExecutors:
         with pytest.raises(SimulationError, match="run override"):
             make_executor("remote", run=lambda job: None)
 
-    def test_effective_backend_normalisation(self):
-        from repro.exec import effective_backend
+    def test_small_pools_run_inline(self, monkeypatch):
+        # A one-worker pool, or a pool for one job, is pure spawn/pickle
+        # overhead: the parallel executor runs such work inline and
+        # never asks multiprocessing for a context.
+        import repro.exec.executors as executors
+        from repro.analysis.sweep import rows_digest, run_sweep
 
-        # A pool needs both >1 job and >1 worker to pay for itself.
-        assert effective_backend("parallel", 1, 8) == "serial"
-        assert effective_backend("parallel", 8, 1) == "serial"
-        assert effective_backend("parallel", 8, 2) == "parallel"
-        # Everything else — including unknown names — passes through.
-        assert effective_backend("serial", 1, 1) == "serial"
-        assert effective_backend("inproc", 1, 1) == "inproc"
-        assert effective_backend("gpu", 9, 9) == "gpu"
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was opened")
+
+        monkeypatch.setattr(
+            executors.multiprocessing, "get_context", no_pool
+        )
+        jobs = _plan()
+        expected = [s * s for s in range(6)]
+        assert run_jobs(jobs, executor=ParallelExecutor(workers=1)) == (
+            expected
+        )
+        assert run_jobs(
+            jobs[:1], executor=ParallelExecutor(workers=4)
+        ) == expected[:1]
+        # The sweep digests of both degenerate pools match serial's.
+        for seeds, workers in ((range(3), 1), ([0], 4)):
+            kwargs = dict(seeds=seeds, params={"n": 6})
+            assert rows_digest(
+                run_sweep("e7", backend="parallel", jobs=workers, **kwargs)
+            ) == rows_digest(run_sweep("e7", backend="serial", **kwargs))
 
     def test_all_backends_equal_results(self):
         jobs = _plan()
@@ -159,26 +175,6 @@ class TestRunJobsCore:
         )
         assert results == [s * s for s in range(6)]
         assert ran == []
-
-    def test_partition_returns_none_elsewhere(self, tmp_path):
-        jobs = _plan(5)
-        results = run_jobs(
-            jobs, journal=tmp_path / "p.jsonl", partition=(1, 2)
-        )
-        assert results == [None, 1, None, 9, None]
-
-    def test_partition_sink_accounting_balances(self, tmp_path):
-        # open(total) must announce exactly the number of emits: the
-        # worker's share, not the plan size — a progress consumer
-        # counting emits against total must complete.
-        sink = CollectSink()
-        run_jobs(
-            _plan(5), journal=tmp_path / "p.jsonl",
-            partition=(0, 2), sink=sink,
-        )
-        assert sink.total == 3  # indices 0, 2, 4
-        assert sink.results == [0, 4, 16]
-        assert sink.closed
 
     def test_resume_sink_includes_restored_results(self, tmp_path):
         path = tmp_path / "j.jsonl"

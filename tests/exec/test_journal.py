@@ -1,23 +1,38 @@
-"""Tests for the JSONL journal, partitioning, and digest-checked merge."""
+"""Tests for the JSONL journal (plan and adaptive-campaign bindings)
+and the remote executor's strided partitioning."""
 
 import json
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.exec import (
-    Journal,
-    JobSpec,
-    merge_journals,
-    partition_jobs,
-    run_jobs,
-)
+from repro.exec import Journal, JobSpec, run_jobs
+from repro.exec.remote import partition_jobs
 
 SQUARE = "toykinds:square"
+CAMPAIGN = "c" * 64
+BINDINGS = ("plan", "campaign")
 
 
 def _plan(n=5):
     return [JobSpec(kind=SQUARE, spec_id="sq", seed=s) for s in range(n)]
+
+
+def _begin(journal, binding, jobs):
+    """Open a fresh journal bound to ``jobs`` as a plan or a campaign."""
+    if binding == "plan":
+        journal.begin(jobs)
+    else:
+        journal.begin_campaign(CAMPAIGN, len(jobs))
+
+
+def _restore(binding, path, jobs):
+    """What a resume under ``binding`` restores from the file at path."""
+    if binding == "plan":
+        return Journal(path).load(jobs)
+    with Journal(path) as journal:
+        journal.begin_campaign(CAMPAIGN, len(jobs), resume=True)
+        return journal.restore(enumerate(jobs))
 
 
 class TestJournalRoundTrip:
@@ -47,42 +62,95 @@ class TestJournalRoundTrip:
 
     def test_torn_final_line_is_dropped(self, tmp_path):
         jobs = _plan()
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.begin(jobs)
-        for i in (0, 1, 2):
-            journal.record(i, jobs[i], i * i)
-        journal.close()
-        text = journal.path.read_text()
-        journal.path.write_text(text[: len(text) - 20])  # tear the tail
-        assert Journal(journal.path).load(jobs) == {0: 0, 1: 1}
+        for binding in BINDINGS:
+            journal = Journal(tmp_path / f"{binding}.jsonl")
+            _begin(journal, binding, jobs)
+            for i in (0, 1, 2):
+                journal.record(i, jobs[i], i * i)
+            journal.close()
+            text = journal.path.read_text()
+            journal.path.write_text(text[: len(text) - 20])  # tear the tail
+            assert _restore(binding, journal.path, jobs) == {0: 0, 1: 1}
 
     def test_corrupt_middle_line_rejected(self, tmp_path):
         jobs = _plan()
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.begin(jobs)
-        journal.record(0, jobs[0], 0)
-        journal.record(1, jobs[1], 1)
-        journal.close()
-        lines = journal.path.read_text().splitlines()
-        lines[1] = lines[1][:10]  # corrupt a non-final line
-        journal.path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SimulationError, match="corrupt line"):
-            Journal(journal.path).load(jobs)
+        for binding in BINDINGS:
+            journal = Journal(tmp_path / f"{binding}.jsonl")
+            _begin(journal, binding, jobs)
+            journal.record(0, jobs[0], 0)
+            journal.record(1, jobs[1], 1)
+            journal.close()
+            lines = journal.path.read_text().splitlines()
+            lines[1] = lines[1][:10]  # corrupt a non-final line
+            journal.path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(SimulationError, match="corrupt line"):
+                _restore(binding, journal.path, jobs)
 
     def test_valid_json_invalid_entry_rejected_cleanly(self, tmp_path):
         # A line can parse as JSON yet not be a valid entry (a kill that
         # left valid JSON, or a foreign writer); that must surface as
         # the friendly corrupt-line error, not a raw KeyError.
         jobs = _plan()
+        for binding in BINDINGS:
+            journal = Journal(tmp_path / f"{binding}.jsonl")
+            _begin(journal, binding, jobs)
+            journal.record(0, jobs[0], 0)
+            journal.close()
+            with journal.path.open("a") as fh:
+                fh.write('{"kind": "result"}\n')
+                fh.write("{}\n")  # keep the malformed entry off the end
+            with pytest.raises(SimulationError, match="corrupt line 3"):
+                _restore(binding, journal.path, jobs)
+
+    @pytest.mark.parametrize("binding", BINDINGS)
+    @pytest.mark.parametrize("line", ["[1, 2]", "5", '"s"', "null"])
+    @pytest.mark.parametrize("where", ["header", "middle"])
+    def test_non_object_line_refused_in_one_line(
+        self, tmp_path, binding, line, where
+    ):
+        # Valid JSON that is not an object, as the header or between
+        # entries, is a corrupt line — never an AttributeError.
+        jobs = _plan()
         journal = Journal(tmp_path / "j.jsonl")
-        journal.begin(jobs)
+        _begin(journal, binding, jobs)
         journal.record(0, jobs[0], 0)
         journal.close()
-        with journal.path.open("a") as fh:
-            fh.write('{"kind": "result"}\n')
-            fh.write("{}\n")  # keep the malformed entry off the last line
-        with pytest.raises(SimulationError, match="corrupt line 3"):
-            Journal(journal.path).load(jobs)
+        lines = journal.path.read_text().splitlines()
+        if where == "header":
+            lines[0] = line
+        else:
+            lines.insert(1, line)
+        journal.path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SimulationError) as info:
+            _restore(binding, journal.path, jobs)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "not an object" in message
+
+    @pytest.mark.parametrize("binding", BINDINGS)
+    def test_conflicting_duplicates_refused(self, tmp_path, binding):
+        jobs = _plan(3)
+        journal = Journal(tmp_path / "j.jsonl")
+        _begin(journal, binding, jobs)
+        journal.record(0, jobs[0], 0)
+        journal.record(0, jobs[0], 999)  # valid entry, wrong result
+        journal.record(1, jobs[1], 1)
+        journal.close()
+        with pytest.raises(SimulationError, match="conflicting duplicate"):
+            _restore(binding, journal.path, jobs)
+
+    @pytest.mark.parametrize("binding", BINDINGS)
+    def test_tampered_job_hash_refused(self, tmp_path, binding):
+        jobs = _plan(3)
+        journal = Journal(tmp_path / "j.jsonl")
+        _begin(journal, binding, jobs)
+        journal.record(1, jobs[1], 1)
+        journal.close()
+        text = journal.path.read_text()
+        entry = json.loads(text.splitlines()[1])
+        journal.path.write_text(text.replace(entry["job"], "0" * 64))
+        with pytest.raises(SimulationError, match="job hash mismatch"):
+            _restore(binding, journal.path, jobs)
 
     def test_undecodable_payload_rejected_cleanly(self, tmp_path):
         jobs = _plan()
@@ -196,6 +264,8 @@ class TestPartition:
         assert indices == list(range(7))
         assert [i for i, _ in shares[0]] == [0, 3, 6]
         assert [i for i, _ in shares[1]] == [1, 4]
+        # More workers than jobs: the surplus workers get empty shares.
+        assert partition_jobs(_plan(2), 3, 5) == []
 
     def test_single_worker_owns_everything(self):
         jobs = _plan(4)
@@ -206,82 +276,6 @@ class TestPartition:
             partition_jobs(_plan(3), 3, 3)
         with pytest.raises(SimulationError):
             partition_jobs(_plan(3), 0, 0)
-
-
-class TestMerge:
-    def _run_partitions(self, tmp_path, jobs, n_workers):
-        paths = []
-        for worker in range(n_workers):
-            path = tmp_path / f"part{worker}.jsonl"
-            run_jobs(jobs, journal=path, partition=(worker, n_workers))
-            paths.append(path)
-        return paths
-
-    def test_merge_reassembles_in_plan_order(self, tmp_path):
-        jobs = _plan(7)
-        paths = self._run_partitions(tmp_path, jobs, 3)
-        assert merge_journals(jobs, paths) == [s * s for s in range(7)]
-
-    def test_merge_rejects_holes(self, tmp_path):
-        jobs = _plan(7)
-        paths = self._run_partitions(tmp_path, jobs, 3)
-        with pytest.raises(SimulationError, match="no journaled result"):
-            merge_journals(jobs, paths[:2])
-
-    def test_merge_rejects_missing_file(self, tmp_path):
-        with pytest.raises(SimulationError, match="does not exist"):
-            merge_journals(_plan(2), [tmp_path / "ghost.jsonl"])
-
-    def test_merge_rejects_foreign_plan(self, tmp_path):
-        jobs = _plan(4)
-        paths = self._run_partitions(tmp_path, jobs, 2)
-        with pytest.raises(SimulationError, match="different.*plan"):
-            merge_journals(_plan(5), paths)
-
-    def test_overlapping_agreeing_entries_merge(self, tmp_path):
-        jobs = _plan(3)
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        run_jobs(jobs, journal=a)  # full run
-        run_jobs(jobs, journal=b, partition=(0, 2))  # overlaps with a
-        assert merge_journals(jobs, [a, b]) == [0, 1, 4]
-
-    def test_empty_plan_no_paths_merges_to_empty(self):
-        # The degenerate a zero-case sweep hands the remote backend.
-        assert merge_journals([], []) == []
-
-    def test_empty_plan_with_header_only_journals(self, tmp_path):
-        paths = self._run_partitions(tmp_path, [], 2)
-        assert merge_journals([], paths) == []
-
-    def test_more_workers_than_jobs_yields_empty_shares(self, tmp_path):
-        jobs = _plan(2)
-        assert partition_jobs(jobs, 3, 5) == []
-        paths = self._run_partitions(tmp_path, jobs, 5)
-        # Workers 2..4 journal nothing but a header; the merge still
-        # reassembles the full plan from the two real shares.
-        assert merge_journals(jobs, paths) == [0, 1]
-
-    def test_disagreeing_duplicates_refused(self, tmp_path):
-        jobs = _plan(3)
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        run_jobs(jobs, journal=a)
-        liar = Journal(b)
-        liar.begin(jobs)
-        liar.record(0, jobs[0], 999)  # valid entry, wrong result
-        liar.close()
-        with pytest.raises(SimulationError, match="disagree"):
-            merge_journals(jobs, [a, b])
-
-    def test_torn_final_lines_in_worker_journals_tolerated(self, tmp_path):
-        jobs = _plan(7)
-        paths = self._run_partitions(tmp_path, jobs, 3)
-        for path in paths:
-            # The kill's half-write: an unterminated, unparseable tail.
-            with path.open("a") as fh:
-                fh.write('{"kind": "result", "ind')
-        assert merge_journals(jobs, paths) == [s * s for s in range(7)]
 
 
 class TestPublicEntriesApi:
@@ -385,12 +379,6 @@ class TestRunJobsLifecycle:
             run_jobs(_plan(3), sink=sink, journal=path)
         assert closes == [path]
         assert sink.closed == 1
-
-    def test_bad_partition_closes_owned_journal(self, tmp_path, closes):
-        path = tmp_path / "j.jsonl"
-        with pytest.raises(SimulationError, match="worker_id"):
-            run_jobs(_plan(3), journal=path, partition=(5, 2))
-        assert closes == [path]
 
     def test_caller_owned_journal_left_open_on_error(self, tmp_path):
         # A Journal object passed in belongs to the caller; run_jobs

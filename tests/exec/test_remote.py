@@ -21,8 +21,10 @@ from repro.exec.job import job_digest
 from repro.exec.journal import _encode
 from repro.exec.remote import (
     RemoteExecutor,
+    _Channel,
     _dial,
     _parse_hostport,
+    _recv_frame,
     _WorkerSession,
     parse_worker_spec,
     run_worker,
@@ -278,6 +280,32 @@ class TestSpawnedWorkers:
         )
         with pytest.raises(SimulationError, match="all 2 remote workers"):
             run_jobs(jobs, executor=executor)
+
+
+class TestFrameDecoding:
+    """Both frame readers refuse a payload that is not one JSON object."""
+
+    @pytest.mark.parametrize(
+        "payload", [b"\xff\xfe", b"{not json", b"[1, 2]"]
+    )
+    @pytest.mark.parametrize("reader", ["blocking", "channel"])
+    def test_bad_payload_is_a_one_line_error(self, payload, reader):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(len(payload).to_bytes(4, "big") + payload)
+            with pytest.raises(SimulationError) as info:
+                if reader == "blocking":
+                    _recv_frame(right)
+                else:
+                    # A local socketpair holds the frame as soon as
+                    # sendall returns, so one non-blocking drain sees it.
+                    _Channel(right).drain()
+            message = str(info.value)
+            assert message.startswith("malformed frame")
+            assert "\n" not in message
+        finally:
+            left.close()
+            right.close()
 
 
 class TestFrameHandling:

@@ -142,6 +142,24 @@ class TestSweepBackend:
             main(["sweep", "e7", "--seeds", "1", "--backend", "gpu"])
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["sweep", "e7", "--seeds", "1", "--param", "n=6"],
+     ["fuzz", "--count", "1"]],
+)
+@pytest.mark.parametrize("backend", [[], ["--backend", "serial"]])
+def test_workers_only_apply_to_remote(capsys, command, backend):
+    # A usage error (exit 2) with the same one-line message shape on
+    # both commands, before anything runs.
+    assert main(command + backend + ["--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{command[0]} failed: --workers only applies to --backend "
+        "remote\n"
+    )
+
+
 class TestFuzz:
     def test_fuzz_runs_and_prints_digest(self, capsys):
         assert main(["fuzz", "--seed", "3", "--count", "10"]) == 0
