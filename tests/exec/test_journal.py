@@ -264,8 +264,14 @@ class TestPartition:
         assert indices == list(range(7))
         assert [i for i, _ in shares[0]] == [0, 3, 6]
         assert [i for i, _ in shares[1]] == [1, 4]
-        # More workers than jobs: the surplus workers get empty shares.
-        assert partition_jobs(_plan(2), 3, 5) == []
+
+    def test_more_workers_than_jobs_yields_empty_shares(self):
+        jobs = _plan(2)
+        shares = [partition_jobs(jobs, w, 5) for w in range(5)]
+        # The surplus workers get empty shares; the real shares still
+        # cover the whole plan exactly once.
+        assert shares[2:] == [[], [], []]
+        assert shares[0] + shares[1] == list(enumerate(jobs))
 
     def test_single_worker_owns_everything(self):
         jobs = _plan(4)
