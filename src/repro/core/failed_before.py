@@ -7,8 +7,12 @@ acyclic; the paper shows (Theorem 2, Condition 2) that acyclicity is
 Section 6 shows protocols (last-process-to-fail) that are incorrect exactly
 when cycles occur.
 
-The relation is represented as a :class:`networkx.DiGraph` whose edge
-``(i, j)`` means "i failed before j".
+The relation is a set of ordered pairs over process ids, ``(i, j)``
+meaning "i failed before j" (:func:`failed_before_pairs`). With at most a
+few dozen processes, every question asked of it here is plain set
+arithmetic or one DFS, so the runtime needs no graph library;
+:func:`failed_before_graph` alone builds a :class:`networkx.DiGraph`, for
+callers that want one, and imports networkx only when called.
 
 Two evaluation regimes share one transition core:
 
@@ -19,15 +23,18 @@ Two evaluation regimes share one transition core:
   the relation acquires, which by construction is the cycle the batch fold
   reports for any extension of the same prefix.
 
-:func:`is_acyclic` deliberately stays on the independent networkx path so
-the property suite can cross-validate the tracker against it.
+:func:`is_acyclic` is the batch fold's verdict; the independent networkx
+oracle that cross-validates it lives in the test suite.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.history import History
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class FailedBeforeTracker:
@@ -119,7 +126,13 @@ def failed_before_pairs(history: History) -> list[tuple[int, int]]:
 
 
 def failed_before_graph(history: History) -> nx.DiGraph:
-    """The failed-before relation as a digraph over process ids."""
+    """The failed-before relation as a digraph over process ids.
+
+    The only networkx user in the package; it is imported here, on call,
+    so that importing :mod:`repro` never loads it.
+    """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(history.processes)
     graph.add_edges_from(failed_before_pairs(history))
@@ -127,8 +140,11 @@ def failed_before_graph(history: History) -> nx.DiGraph:
 
 
 def is_acyclic(history: History) -> bool:
-    """sFS2b: true iff the failed-before relation has no cycle."""
-    return nx.is_directed_acyclic_graph(failed_before_graph(history))
+    """sFS2b: true iff the failed-before relation has no cycle.
+
+    A self-pair ``(i, i)`` counts as a cycle.
+    """
+    return find_cycle(history) is None
 
 
 def find_cycle(history: History) -> list[tuple[int, int]] | None:
@@ -141,8 +157,7 @@ def find_cycle(history: History) -> list[tuple[int, int]] | None:
     A thin fold over :class:`FailedBeforeTracker`, so the batch answer is
     — by construction — the cycle a streaming monitor locks onto while
     observing the same detections one event at a time. Cross-validated
-    against the independent networkx path (:func:`is_acyclic`) in the
-    property suite.
+    against networkx's acyclicity test in the test suite.
     """
     tracker = FailedBeforeTracker()
     for i, j in failed_before_pairs(history):
@@ -158,12 +173,15 @@ def is_transitive(history: History) -> bool:
     recovery. This predicate lets experiments measure how often transitivity
     happens to hold.
     """
-    graph = failed_before_graph(history)
-    for a, b in graph.edges:
-        for _, c in graph.out_edges(b):
-            if not graph.has_edge(a, c):
-                return False
-    return True
+    pairs = set(failed_before_pairs(history))
+    succ: dict[int, set[int]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    # (a, b) and (b, a) together demand (a, a): a 2-cycle is transitive
+    # only with both self-pairs recorded.
+    return all(
+        (a, c) in pairs for a, b in pairs for c in succ.get(b, ())
+    )
 
 
 def last_failed_candidates(history: History) -> frozenset[int]:
@@ -174,8 +192,5 @@ def last_failed_candidates(history: History) -> frozenset[int]:
     detected — if any process executed ``failed(p)``, something outlived
     ``p`` and ``p`` was not last.
     """
-    graph = failed_before_graph(history)
-    crashed = history.crashed_processes()
-    return frozenset(
-        p for p in crashed if not any(True for _ in graph.successors(p))
-    )
+    detected = {i for i, _ in failed_before_pairs(history)}
+    return history.crashed_processes() - detected

@@ -29,8 +29,11 @@ Topology and protocol::
 
 Every frame is one JSON object behind a 4-byte big-endian length prefix.
 A frame that is not UTF-8 JSON text of one object is refused with a
-one-line :class:`~repro.errors.SimulationError`; journal lines and frames
-decode through the same helper. Job specs and results travel pickled and
+one-line :class:`~repro.errors.SimulationError` (journal lines and frames
+decode through the same helper), and so is a welcome whose heartbeat
+interval is not a finite number > 0, an assign whose jobs are not
+``[int, blob]`` pairs that decode, or a result whose index is not a
+planned integer. Job specs and results travel pickled and
 base64-armoured — the exact encoding of a journal line, because a result
 frame *is* a journal line in flight: the coordinator's
 :func:`~repro.exec.core.run_jobs` loop records each one to its journal
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import selectors
 import socket
@@ -329,6 +333,57 @@ def _dial(address: str, retry_for: float) -> socket.socket:
             return sock
 
 
+def _heartbeat_interval(welcome: dict) -> float:
+    """The welcome frame's beat interval: a finite number of seconds > 0.
+
+    ``Event.wait`` returns at once on a zero or negative timeout, so an
+    unchecked interval would spin the heartbeat thread.
+    """
+    interval = welcome.get("heartbeat_interval", 1.0)
+    if (
+        type(interval) not in (int, float)
+        or not math.isfinite(interval)
+        or interval <= 0
+    ):
+        raise SimulationError(
+            f"coordinator sent heartbeat_interval {interval!r}; "
+            "need a finite number of seconds > 0"
+        )
+    return float(interval)
+
+
+def _assigned_jobs(frame: dict) -> list[tuple[int, JobSpec]]:
+    """Decode an assign frame's ``[[index, blob], ...]`` list, all or none."""
+    jobs = frame.get("jobs")
+    if not isinstance(jobs, list):
+        raise SimulationError(
+            f"malformed assign frame: jobs is {type(jobs).__name__}, "
+            "not a list"
+        )
+    assigned = []
+    for k, entry in enumerate(jobs):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and type(entry[0]) is int
+            and isinstance(entry[1], str)
+        ):
+            raise SimulationError(
+                f"malformed assign frame: entry {k} is not an "
+                "[index, base64 blob] pair"
+            )
+        index, blob = entry
+        try:
+            job = _decode(blob)
+        except Exception as exc:
+            raise SimulationError(
+                f"malformed assign frame: job {index} does not decode "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
+        assigned.append((index, job))
+    return assigned
+
+
 def _readable(sock: socket.socket) -> bool:
     import select
 
@@ -356,7 +411,7 @@ def _serve(sock: socket.socket, name: str) -> int:
             f"coordinator speaks protocol {welcome.get('version')!r}, "
             f"this worker speaks {PROTOCOL_VERSION}"
         )
-    interval = float(welcome.get("heartbeat_interval", 1.0))
+    interval = _heartbeat_interval(welcome)
     lock = threading.Lock()
     stop = threading.Event()
     beat = threading.Thread(
@@ -376,8 +431,7 @@ def _serve(sock: socket.socket, name: str) -> int:
                 frame = _recv_frame(sock)
                 kind = frame.get("kind")
                 if kind == "assign":
-                    for index, blob in frame["jobs"]:
-                        queue.append((index, _decode(blob)))
+                    queue.extend(_assigned_jobs(frame))
                 elif kind == "shutdown":
                     return 0
                 else:
@@ -552,9 +606,10 @@ class RemoteExecutor(Executor):
                 f"unknown remote detector {detector!r}; choose from "
                 f"{', '.join(REMOTE_DETECTORS)}"
             )
-        if heartbeat_interval <= 0:
+        if not math.isfinite(heartbeat_interval) or heartbeat_interval <= 0:
             raise SimulationError(
-                f"heartbeat_interval must be > 0, got {heartbeat_interval}"
+                "heartbeat_interval must be a finite number > 0, got "
+                f"{heartbeat_interval}"
             )
         self.spawn = spawn
         self.hosts = tuple(hosts)
@@ -764,7 +819,8 @@ class RemoteExecutor(Executor):
         monitor.heartbeat(session.peer)  # a result is proof of life too
         index = frame.get("index")
         data = frame.get("data")
-        if not isinstance(index, int) or index not in expected:
+        # type(), not isinstance(): JSON true is a bool, and True == 1.
+        if type(index) is not int or index not in expected:
             raise SimulationError(
                 f"remote worker {session.name} reported a result for "
                 f"unplanned index {index!r}"

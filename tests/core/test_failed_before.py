@@ -1,6 +1,6 @@
 """Unit tests for repro.core.failed_before (Definition 3, sFS2b)."""
 
-from repro.core.events import crash, failed
+from repro.core.events import CrashEvent, FailedEvent, crash, failed
 from repro.core.failed_before import (
     failed_before_graph,
     failed_before_pairs,
@@ -149,6 +149,56 @@ class TestFailedBeforeTracker:
                         cycle[k][1] == cycle[(k + 1) % len(cycle)][0]
                         for k in range(len(cycle))
                     )
+
+    def test_predicates_match_networkx_on_random_histories(self):
+        # The package answers from plain sets and one DFS; networkx,
+        # fed straight from the events, is the independent oracle.
+        import random
+
+        import networkx as nx
+
+        seen = {"acyclic": set(), "transitive": set(), "candidates": set()}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randrange(1, 7)
+            events = [crash(p) for p in range(n) if rng.random() < 0.4]
+            for _ in range(rng.randrange(0, 12)):
+                detector = rng.randrange(n)
+                # Self-pairs (failed_i(i)) well above their 1/n share.
+                target = detector if rng.random() < 0.15 else rng.randrange(n)
+                events.append(failed(detector, target))
+            rng.shuffle(events)
+            h = History(events, n=n)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from(
+                (e.target, e.proc)
+                for e in events
+                if isinstance(e, FailedEvent)
+            )
+
+            acyclic = nx.is_directed_acyclic_graph(graph)
+            transitive = all(
+                graph.has_edge(a, c)
+                for a, b in graph.edges
+                for c in graph.successors(b)
+            )
+            candidates = frozenset(
+                e.proc
+                for e in events
+                if isinstance(e, CrashEvent) and graph.out_degree(e.proc) == 0
+            )
+            where = f"seed {seed}: {h}"
+            assert is_acyclic(h) == acyclic, where
+            assert (find_cycle(h) is None) == acyclic, where
+            assert is_transitive(h) == transitive, where
+            assert last_failed_candidates(h) == candidates, where
+            assert set(failed_before_graph(h).edges) == set(graph.edges)
+            seen["acyclic"].add(acyclic)
+            seen["transitive"].add(transitive)
+            seen["candidates"].add(bool(candidates))
+        # Both verdicts of every predicate were exercised.
+        assert all(values == {True, False} for values in seen.values())
 
     def test_find_cycle_is_tracker_fold(self):
         from repro.core.failed_before import find_cycle

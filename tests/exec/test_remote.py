@@ -20,11 +20,14 @@ from repro.exec import JobSpec, run_jobs
 from repro.exec.job import job_digest
 from repro.exec.journal import _encode
 from repro.exec.remote import (
+    PROTOCOL_VERSION,
     RemoteExecutor,
     _Channel,
     _dial,
     _parse_hostport,
     _recv_frame,
+    _send_frame,
+    _serve,
     _WorkerSession,
     parse_worker_spec,
     run_worker,
@@ -103,8 +106,11 @@ class TestConstruction:
             RemoteExecutor(spawn=2, detector="oracle")
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(SimulationError, match="heartbeat_interval"):
-            RemoteExecutor(spawn=2, heartbeat_interval=0)
+        # A non-finite interval would pass a plain "> 0" check and then
+        # fail deep in the detector set-up (and be refused by workers).
+        for bad in (0, -1, float("inf"), float("nan")):
+            with pytest.raises(SimulationError, match="heartbeat_interval"):
+                RemoteExecutor(spawn=2, heartbeat_interval=bad)
 
     def test_detection_defaults_derive_from_interval(self):
         executor = RemoteExecutor(spawn=2, heartbeat_interval=0.2)
@@ -308,6 +314,109 @@ class TestFrameDecoding:
             right.close()
 
 
+def _welcome(**fields):
+    frame = {
+        "kind": "welcome",
+        "version": PROTOCOL_VERSION,
+        "heartbeat_interval": 60.0,
+    }
+    frame.update(fields)
+    return frame
+
+
+def _serve_refusal(*frames) -> str:
+    """Queue coordinator frames on a socketpair; the worker must refuse.
+
+    Returns the one-line message of the :class:`SimulationError` the
+    worker loop raised.
+    """
+    left, right = socket.socketpair()
+    try:
+        for frame in frames:
+            _send_frame(left, frame)
+        # EOF after the queued frames: a worker that wrongly accepts
+        # them all fails on the closed line instead of hanging the test.
+        left.shutdown(socket.SHUT_WR)
+        with pytest.raises(SimulationError) as info:
+            _serve(right, "w0")
+        assert _recv_frame(left)["kind"] == "hello"
+        message = str(info.value)
+        assert "\n" not in message
+        return message
+    finally:
+        left.close()
+        right.close()
+
+
+class TestWorkerFrameValidation:
+    """The worker refuses malformed welcome/assign frames in one line."""
+
+    @pytest.mark.parametrize(
+        "interval",
+        ["fast", -1, 0, 0.0, None, True, float("inf"), float("nan"), [1]],
+    )
+    def test_bad_heartbeat_interval(self, interval):
+        message = _serve_refusal(_welcome(heartbeat_interval=interval))
+        assert message.startswith("coordinator sent heartbeat_interval")
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            None,
+            "jobs",
+            {"0": "x"},
+            [7],
+            [[0]],
+            [[0, "x", "y"]],
+            [["0", _encode(0)]],
+            [[True, _encode(0)]],
+            [[0, 7]],
+            [[0, "!!not base64!!"]],
+            [[0, "AAAA"]],  # valid base64, not a pickle
+        ],
+    )
+    def test_bad_assign_jobs(self, jobs):
+        assign = {"kind": "assign"}
+        if jobs is not None:
+            assign["jobs"] = jobs
+        message = _serve_refusal(_welcome(), assign)
+        assert message.startswith("malformed assign frame")
+
+    def test_cli_reports_one_line(self, capsys):
+        # End to end through ``python -m repro worker``: a fake
+        # coordinator answers the hello with a bad welcome.
+        from repro.__main__ import main
+
+        server = socket.create_server(("127.0.0.1", 0))
+        port = server.getsockname()[1]
+
+        def coordinator():
+            conn, _ = server.accept()
+            with conn:
+                _recv_frame(conn)
+                _send_frame(conn, _welcome(heartbeat_interval=-1))
+                try:
+                    conn.recv(1)  # hold the line until the worker exits
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        try:
+            code = main(
+                ["worker", "--connect", f"127.0.0.1:{port}",
+                 "--retry-for", "5"]
+            )
+        finally:
+            thread.join(timeout=5)
+            server.close()
+        assert not thread.is_alive()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("worker failed: coordinator sent")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestFrameHandling:
     """Direct checks of the coordinator's result reconciliation."""
 
@@ -374,16 +483,18 @@ class TestFrameHandling:
 
     def test_unplanned_index_refused(self):
         executor, session, monitor, expected = self._fixture()
-        frame = {
-            "kind": "result",
-            "index": 7,
-            "job": expected[0],
-            "data": _encode(0),
-        }
-        with pytest.raises(SimulationError, match="unplanned index"):
-            executor._handle_frame(
-                session, frame, monitor, {}, expected, lambda i, r: None
-            )
+        # JSON false decodes to a bool, and False == 0, the planned index.
+        for index in (7, False, "0", None):
+            frame = {
+                "kind": "result",
+                "index": index,
+                "job": expected[0],
+                "data": _encode(0),
+            }
+            with pytest.raises(SimulationError, match="unplanned index"):
+                executor._handle_frame(
+                    session, frame, monitor, {}, expected, lambda i, r: None
+                )
 
     def test_malformed_data_refused_with_diagnostic(self):
         # Regression: non-string data raised AttributeError from
