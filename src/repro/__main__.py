@@ -36,17 +36,18 @@ Commands:
   :mod:`repro.exec.remote`.
 
 ``sweep``, ``fuzz``, and ``monitor`` all execute through the unified
-execution layer (:mod:`repro.exec`) and share its flags: ``--backend``
-picks the executor (results are bit-identical on all of them),
-``--journal PATH`` checkpoints every completed case to a JSONL file as
-it lands, and ``--resume`` restores journaled cases instead of
-re-running them — a killed run resumed at any case boundary prints the
-same digest as an uninterrupted one. ``sweep``/``fuzz`` additionally
-take ``--stream`` to print each result live, in deterministic order, as
-the finished prefix grows, and ``--backend remote`` with ``--workers``
-(an integer to spawn local worker processes, or ``host:port,...`` to
-dial out) dispatches the plan to a fleet watched by the repo's own
-failure detectors — still bit-identical.
+execution layer (:mod:`repro.exec`) and share its flags: ``--journal
+PATH`` checkpoints every completed case to a JSONL file as it lands,
+and ``--resume`` restores journaled cases instead of re-running them —
+a killed run resumed at any case boundary prints the same digest as an
+uninterrupted one. ``sweep``/``fuzz`` additionally take ``--backend``
+to pick the executor (results are bit-identical on all of them),
+``--stream`` to print each result live, in deterministic order, as the
+finished prefix grows, and ``--backend remote`` with ``--workers`` (an
+integer to spawn local worker processes, or ``host:port,...`` to dial
+out) dispatches the plan to a fleet watched by the repo's own failure
+detectors — still bit-identical. ``monitor`` always runs in this
+process, since it prints violations live from inside the run.
 """
 
 from __future__ import annotations
@@ -87,16 +88,21 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _add_exec_flags(
-    parser: "argparse.ArgumentParser",
-    backends: tuple[str, ...] = ("serial", "parallel", "inproc", "remote"),
-    backend_help: str = "execution backend; results are bit-identical "
-    "on every backend",
+    parser: "argparse.ArgumentParser", backend_help: str | None = None
 ) -> None:
-    """The execution-layer flags shared by sweep, fuzz, and monitor."""
-    parser.add_argument(
-        "--backend", choices=backends, default=None, help=backend_help
-    )
-    if "remote" in backends:
+    """The execution-layer flags shared by sweep, fuzz, and monitor.
+
+    ``--backend`` and ``--workers`` are added only with a
+    ``backend_help``; the monitor runs in this process and takes
+    neither.
+    """
+    if backend_help is not None:
+        parser.add_argument(
+            "--backend",
+            choices=("serial", "parallel", "inproc", "remote"),
+            default=None,
+            help=backend_help,
+        )
         parser.add_argument(
             "--workers", metavar="N|HOST:PORT,...", default=None,
             help="--backend remote fleet: an integer spawns that many "
@@ -340,7 +346,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         run_monitor_case,
     )
     from repro.errors import ReproError
-    from repro.exec import JobSpec, make_executor, run_jobs
+    from repro.exec import JobSpec, SerialExecutor, run_jobs
 
     eid = args.eid.lower()
     if eid not in MONITOR_SCENARIOS:
@@ -349,8 +355,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         return 2
 
     # Live printing happens from *inside* the run via a trace observer,
-    # so the monitor's executors are the in-process ones; a run restored
-    # from the journal instead re-renders its recorded violation lines.
+    # so the job runs here, through the serial executor's run hook; a
+    # run restored from the journal instead re-renders its recorded
+    # violation lines.
     printed = 0
     ran = False
 
@@ -399,10 +406,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         params=tuple(params),
     )
     try:
-        executor = make_executor(args.backend or "serial", run=live_run)
         (result,) = run_jobs(
             [job],
-            executor=executor,
+            executor=SerialExecutor(run=live_run),
             journal=args.journal,
             resume=args.resume,
         )
@@ -424,41 +430,35 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.analysis.fuzz import (
         DEFAULT_CONFIG,
         FuzzConfig,
+        fuzz_runner,
         run_adaptive_fuzz,
         run_fuzz,
     )
     from repro.errors import ReproError
-    from repro.sim.multiworld import ShardedRunner
 
     backend = args.backend or "inproc"
-    if args.batch != 50 and not args.adaptive:
+    if args.batch is not None and not args.adaptive:
         print("fuzz failed: --batch only applies to --adaptive",
               file=sys.stderr)
         return 2
     # The stepping controls configure the sharded multi-world engine;
     # silently dropping them would imply they applied. Parser defaults
     # are None sentinels, so presence — not value — is what's detected.
-    given = [
-        flag
-        for value, flag in (
-            (args.stepping, "--stepping"),
-            (args.quantum, "--quantum"),
-            (args.window, "--window"),
-        )
-        if value is not None
-    ]
-    if backend != "inproc" and given:
+    stepping = {
+        name: getattr(args, name)
+        for name in ("stepping", "quantum", "window")
+        if getattr(args, name) is not None
+    }
+    if backend != "inproc" and stepping:
+        given = ", ".join(f"--{name}" for name in stepping)
         print(
-            f"fuzz failed: {', '.join(given)} only apply to "
+            f"fuzz failed: {given} only apply to "
             f"--backend inproc (the sharded engine), not {backend!r}",
             file=sys.stderr,
         )
         return 2
     if _workers_misused("fuzz", args, backend):
         return 2
-    stepping = args.stepping if args.stepping is not None else "round_robin"
-    quantum = args.quantum if args.quantum is not None else 512
-    window = args.window if args.window is not None else 64
     sink = None
     if args.stream:
         def render(index, total, job, outcome):
@@ -487,16 +487,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             ),
             failure_model=args.failure_model,
         )
-        runner = None
-        if backend == "inproc":
-            runner = ShardedRunner(
-                stepping=stepping, quantum=quantum, window=window
-            )
+        runner = fuzz_runner(**stepping) if backend == "inproc" else None
         adaptive = None
         if args.adaptive:
             adaptive = run_adaptive_fuzz(
                 seed=args.seed, count=args.count, config=config,
-                batch=args.batch, runner=runner, backend=backend,
+                batch=50 if args.batch is None else args.batch,
+                runner=runner, backend=backend,
                 jobs=args.jobs, remote_workers=args.workers,
                 journal=args.journal, resume=args.resume,
                 sink=sink,
@@ -512,7 +509,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"fuzz failed: {exc}", file=sys.stderr)
         return 2
-    mode = stepping if backend == "inproc" else backend
+    mode = runner.stepping if runner is not None else backend
     label = " adaptive" if adaptive is not None else ""
     print(f"== fuzz seed={args.seed} count={args.count} "
           f"({mode}{label}) ==")
@@ -727,12 +724,7 @@ def main(argv: list[str] | None = None) -> int:
         help="print every recorded event, not just violations",
     )
     monitor.add_argument("--max-events", type=int, default=1_000_000)
-    _add_exec_flags(
-        monitor,
-        backends=("serial", "inproc"),
-        backend_help="execution backend (in-process only: live violation "
-                     "printing streams from inside the run)",
-    )
+    _add_exec_flags(monitor)
     monitor.set_defaults(fn=_cmd_monitor)
 
     fuzz = sub.add_parser(
@@ -760,9 +752,9 @@ def main(argv: list[str] | None = None) -> int:
              "crash-recovery churn (protocols run under the black-box "
              "wrapper), or bounded-Byzantine interference",
     )
-    # Stepping controls default to None sentinels so the backend guard
-    # in _cmd_fuzz detects presence, not value; the effective defaults
-    # (round_robin / 512 / 64) are resolved there, in one place.
+    # Stepping controls and --batch default to None sentinels so the
+    # guards in _cmd_fuzz detect presence, not value; the effective
+    # stepping defaults are fuzz_runner's.
     fuzz.add_argument(
         "--stepping", choices=("round_robin", "sequential"),
         default=None,
@@ -797,7 +789,7 @@ def main(argv: list[str] | None = None) -> int:
              "reproduce the same digest on every backend)",
     )
     fuzz.add_argument(
-        "--batch", type=int, default=50,
+        "--batch", type=int, default=None,
         help="scenarios per adaptive batch (weights re-derive between "
              "batches; --adaptive only; default: 50)",
     )

@@ -41,13 +41,13 @@ from repro.analysis.coverage import (
 )
 from repro.analysis.monitors import MonitorSet
 from repro.core.bounds import max_tolerable_t
-from repro.core.failure_models import FAILURE_MODEL_NAMES, get_failure_model
+from repro.core.failure_models import get_failure_model
 from repro.detectors.heartbeat import HeartbeatDriver
 from repro.detectors.phi_accrual import PhiAccrualDriver
 from repro.errors import SimulationError
 from repro.exec import (
-    EXEC_BACKENDS,
-    InprocExecutor,
+    Collector,
+    Executor,
     JobSpec,
     Journal,
     ResultSink,
@@ -833,21 +833,28 @@ def _scenario_shard(scenario: Scenario):
     return spec, (lambda spec, world: judge_world(spec.key, world))
 
 
-def run_fuzz_job(job: JobSpec) -> FuzzOutcome:
-    """Execution-layer entrypoint: run and judge one scenario, whole.
+def _run_whole(form) -> FuzzOutcome:
+    """Run a one-shard form to completion: the serial/parallel form.
 
-    This is the serial/parallel form. It runs the scenario as a
-    one-shard :class:`~repro.sim.multiworld.ShardedRunner` pass so that
+    A one-shard :class:`~repro.sim.multiworld.ShardedRunner` pass, so
     completion and livelock-valve semantics are the shard form's *by
     construction* — not merely equivalent, the same code — keeping every
-    backend bit-identical even at the valve boundary. Module-level so
-    the parallel executor can resolve it by name in worker processes.
+    backend bit-identical even at the valve boundary.
     """
-    spec, collect = _fuzz_job_shard(job)
+    spec, collect = form
     (outcome,) = ShardedRunner(stepping="sequential").run(
         [spec], collect=collect
     )
     return outcome
+
+
+def run_fuzz_job(job: JobSpec) -> FuzzOutcome:
+    """Execution-layer entrypoint: run and judge one scenario, whole.
+
+    Module-level so the parallel executor can resolve it by name in
+    worker processes.
+    """
+    return _run_whole(_fuzz_job_shard(job))
 
 
 def _fuzz_job_shard(job: JobSpec):
@@ -862,11 +869,7 @@ run_fuzz_job.to_shard = _fuzz_job_shard
 
 def run_scenario_job(job: JobSpec) -> FuzzOutcome:
     """Execution-layer entrypoint for literal-scenario jobs."""
-    spec, collect = _scenario_job_shard(job)
-    (outcome,) = ShardedRunner(stepping="sequential").run(
-        [spec], collect=collect
-    )
-    return outcome
+    return _run_whole(_scenario_job_shard(job))
 
 
 def _scenario_job_shard(job: JobSpec):
@@ -886,22 +889,44 @@ def run_scenario(scenario: Scenario) -> FuzzOutcome:
     """
     return run_scenario_job(scenario_spec_job(scenario))
 
-FUZZ_BACKENDS = EXEC_BACKENDS
-"""Valid ``backend`` arguments for :func:`run_fuzz` — the execution
-layer's registered executors, by reference (one registry, no copies)."""
+
+def fuzz_runner(**overrides) -> ShardedRunner:
+    """The engine fuzz runs step on unless given one.
+
+    ``ShardedRunner(stepping="round_robin", quantum=512, window=64)``:
+    up to 64 worlds in flight, each granted 512 events per turn;
+    ``overrides`` replace any of those three. Results are identical for
+    every setting — only speed and peak memory move.
+    """
+    settings = {"stepping": "round_robin", "quantum": 512, "window": 64}
+    return ShardedRunner(**{**settings, **overrides})
+
+
+def _fuzz_executor(
+    backend: str | None,
+    runner: ShardedRunner | None,
+    jobs: int,
+    remote_workers: int | str | Sequence[str] | None,
+) -> Executor:
+    """The executor a fuzz run or campaign runs on: ``backend=None``
+    means ``"inproc"``, stepped by ``runner`` or :func:`fuzz_runner`."""
+    backend = backend or "inproc"
+    if backend == "inproc" and runner is None:
+        runner = fuzz_runner()
+    # make_executor rejects unknown backend names, and a runner off
+    # the inproc backend.
+    return make_executor(
+        backend, workers=jobs, runner=runner, remote_workers=remote_workers
+    )
 
 
 def run_fuzz(
     seed: int,
     count: int,
     config: FuzzConfig = DEFAULT_CONFIG,
-    stepping: str = "round_robin",
-    quantum: int = 512,
-    window: int | None = 64,
     runner: ShardedRunner | None = None,
     backend: str | None = None,
     jobs: int = 1,
-    chunksize: int | None = None,
     remote_workers: int | str | Sequence[str] | None = None,
     journal: str | Path | None = None,
     resume: bool = False,
@@ -912,15 +937,14 @@ def run_fuzz(
     Scenarios are planned as frozen jobs and executed through
     :mod:`repro.exec`. The default backend is ``"inproc"``: scenarios run
     as shards of a :class:`~repro.sim.multiworld.ShardedRunner` (pass
-    ``runner`` to control stepping or to read back
-    :class:`~repro.sim.multiworld.RunnerStats` afterwards; or let
-    ``stepping``/``quantum``/``window`` build one). ``"serial"`` runs
-    each scenario whole in this process, ``"parallel"`` fans them out
-    to a pool of ``jobs`` workers, and ``"remote"`` dispatches them to
-    the worker fleet ``remote_workers`` configures (see
-    :mod:`repro.exec.remote`) — the report is identical on every
-    backend, stepping policy, quantum, and window, because scenarios
-    share no state.
+    ``runner`` to control stepping, quantum and window, or to read back
+    :class:`~repro.sim.multiworld.RunnerStats` afterwards).
+    ``"serial"`` runs each scenario whole in this process,
+    ``"parallel"`` fans them out to a pool of ``jobs`` workers, and
+    ``"remote"`` dispatches them to the worker fleet ``remote_workers``
+    configures (see :mod:`repro.exec.remote`) — the report is identical
+    on every backend, stepping policy, quantum, and window, because
+    scenarios share no state.
 
     ``journal``/``resume`` checkpoint the run per scenario (a killed fuzz
     run resumes to the same digest), and a ``sink`` streams outcomes in
@@ -928,28 +952,9 @@ def run_fuzz(
     """
     if count < 0:
         raise SimulationError(f"count must be >= 0, got {count}")
-    if backend is None:
-        backend = "inproc"
-    if runner is not None and backend != "inproc":
-        raise SimulationError(
-            "a ShardedRunner only drives the 'inproc' backend; drop "
-            f"runner= or backend={backend!r}"
-        )
-    if backend == "inproc":
-        if runner is None:
-            runner = ShardedRunner(
-                stepping=stepping, quantum=quantum, window=window
-            )
-        executor = InprocExecutor(runner=runner)
-    else:
-        # make_executor rejects unknown backend names.
-        executor = make_executor(
-            backend, workers=jobs, chunksize=chunksize,
-            remote_workers=remote_workers,
-        )
     outcomes = run_jobs(
         [scenario_job(seed, index, config) for index in range(count)],
-        executor=executor,
+        executor=_fuzz_executor(backend, runner, jobs, remote_workers),
         sink=sink,
         journal=journal,
         resume=resume,
@@ -1055,13 +1060,9 @@ def run_adaptive_fuzz(
     count: int,
     config: FuzzConfig = DEFAULT_CONFIG,
     batch: int = 50,
-    stepping: str = "round_robin",
-    quantum: int = 512,
-    window: int | None = 64,
     runner: ShardedRunner | None = None,
     backend: str | None = None,
     jobs: int = 1,
-    chunksize: int | None = None,
     remote_workers: int | str | Sequence[str] | None = None,
     journal: str | Path | None = None,
     resume: bool = False,
@@ -1082,14 +1083,17 @@ def run_adaptive_fuzz(
     same inputs (or a journal resume from any kill point) produce the
     same scenarios, outcomes, coverage digests, and
     :meth:`AdaptiveReport.digest`, on every backend and stepping policy.
+    Backend and ``runner`` mean what they mean for :func:`run_fuzz`.
 
-    ``journal``/``resume`` checkpoint through a
+    Each batch runs through the execution core's
+    :class:`~repro.exec.core.Collector` — the loop :func:`run_jobs`
+    drives over a whole plan — so a ``sink`` streams outcomes in
+    campaign index order as the finished prefix grows, exactly like
+    :func:`run_fuzz`. ``journal``/``resume`` checkpoint through a
     :class:`~repro.exec.journal.Journal` bound to the campaign digest:
     restored results are validated against the recomputed batch jobs
     (hash mismatch names the campaign drift), and each batch's recorded
-    coverage checkpoint is cross-checked against the resumed fold. A
-    ``sink`` streams outcomes in campaign index order as the finished
-    prefix grows, exactly like :func:`run_fuzz`.
+    coverage checkpoint is cross-checked against the resumed fold.
     """
     if count < 0:
         raise SimulationError(f"count must be >= 0, got {count}")
@@ -1097,120 +1101,50 @@ def run_adaptive_fuzz(
         raise SimulationError(f"batch must be >= 1, got {batch}")
     if resume and journal is None:
         raise SimulationError("resume=True requires a journal")
-    if backend is None:
-        backend = "inproc"
-    if runner is not None and backend != "inproc":
-        raise SimulationError(
-            "a ShardedRunner only drives the 'inproc' backend; drop "
-            f"runner= or backend={backend!r}"
-        )
-    if backend == "inproc":
-        if runner is None:
-            runner = ShardedRunner(
-                stepping=stepping, quantum=quantum, window=window
-            )
-        executor = InprocExecutor(runner=runner)
-    else:
-        executor = make_executor(
-            backend, workers=jobs, chunksize=chunksize,
-            remote_workers=remote_workers,
-        )
+    executor = _fuzz_executor(backend, runner, jobs, remote_workers)
 
     log = Journal(journal) if journal is not None else None
-    if log is not None:
-        log.begin_campaign(
-            adaptive_campaign_digest(seed, count, batch, config),
-            count,
-            resume=resume,
-        )
-
     coverage = CoverageMap()
-    outcomes: list[FuzzOutcome | None] = [None] * count
-    jobs_by_index: dict[int, JobSpec] = {}
+    outcomes: list[FuzzOutcome] = []
     batches: list[BatchRecord] = []
-    released = 0
-
-    def release_prefix() -> None:
-        nonlocal released
-        if sink is None:
-            return
-        while released < count and outcomes[released] is not None:
-            sink.emit(released, jobs_by_index[released], outcomes[released])
-            released += 1
-
-    if sink is not None:
-        sink.open(count)
     try:
-        number = 0
-        start = 0
-        while start < count:
-            end = min(count, start + batch)
-            weights = derive_weights(config, coverage)
-            batch_jobs = [
-                (index, scenario_job(seed, index, config, weights=weights))
-                for index in range(start, end)
-            ]
-            jobs_by_index.update(batch_jobs)
-            if log is not None:
-                for index, result in log.restore(batch_jobs).items():
-                    outcomes[index] = result
-            pending = [
-                (index, job)
-                for index, job in batch_jobs
-                if outcomes[index] is None
-            ]
-
-            def on_result(index: int, result: FuzzOutcome) -> None:
-                outcomes[index] = result
-                if log is not None:
-                    log.record(index, jobs_by_index[index], result)
-                release_prefix()
-
-            release_prefix()  # journaled results are already available
-            executor.submit(pending, on_result)
-
-            missing = [
-                index
-                for index in range(start, end)
-                if outcomes[index] is None
-            ]
-            if missing:
-                raise SimulationError(
-                    f"executor {executor.name!r} completed without "
-                    f"reporting {len(missing)} job(s) "
-                    f"(first: {missing[0]})"
-                )
-
-            before = len(coverage)
-            for index in range(start, end):
-                coverage.add_outcome(outcomes[index])
-            digest = coverage.digest()
-            batches.append(
-                BatchRecord(
-                    batch=number,
-                    start=start,
-                    end=end,
-                    new_features=len(coverage) - before,
-                    coverage_digest=digest,
-                )
+        if log is not None:
+            log.begin_campaign(
+                adaptive_campaign_digest(seed, count, batch, config),
+                count,
+                resume=resume,
             )
-            if log is not None:
-                log.record_coverage(number, end, digest)
-            number += 1
-            start = end
+        with Collector(count, executor, sink, log) as collector:
+            for number, start in enumerate(range(0, count, batch)):
+                end = min(count, start + batch)
+                weights = derive_weights(config, coverage)
+                batch_jobs = [
+                    (index, scenario_job(seed, index, config, weights=weights))
+                    for index in range(start, end)
+                ]
+                restored = log.restore(batch_jobs) if log is not None else {}
+                before = len(coverage)
+                for outcome in collector.run(batch_jobs, restored):
+                    coverage.add_outcome(outcome)
+                    outcomes.append(outcome)
+                digest = coverage.digest()
+                batches.append(
+                    BatchRecord(
+                        batch=number,
+                        start=start,
+                        end=end,
+                        new_features=len(coverage) - before,
+                        coverage_digest=digest,
+                    )
+                )
+                if log is not None:
+                    log.record_coverage(number, end, digest)
     finally:
-        if sink is not None:
-            sink.close()
         if log is not None:
             log.close()
 
-    report = FuzzReport(
-        seed=seed,
-        count=count,
-        outcomes=tuple(outcomes),  # type: ignore[arg-type]
-    )
     return AdaptiveReport(
-        report=report,
+        report=FuzzReport(seed=seed, count=count, outcomes=tuple(outcomes)),
         coverage=coverage,
         batches=tuple(batches),
         batch_size=batch,

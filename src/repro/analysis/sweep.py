@@ -39,7 +39,7 @@ planning is O(cases); execution is embarrassingly parallel with
 near-linear speedup until the per-case cost (one full simulated run,
 itself linear in events thanks to the O(1)-accounting scheduler, batched
 delivery bursts, and incremental trace recording) drops below
-per-process pickling overhead — tune ``chunksize`` for very cheap cases.
+per-process pickling overhead — where the ``inproc`` backend wins.
 Each worker run records its trace through
 :class:`~repro.core.history.HistoryBuilder`, so long-run cases stay
 linear in trace length rather than quadratic.
@@ -59,13 +59,7 @@ import repro.analysis.extensions  # noqa: F401  (registers e11/a1/e14)
 from repro.analysis.experiments import SEEDED_DRIVERS
 from repro.analysis.report import format_table
 from repro.errors import SimulationError
-from repro.exec import (
-    EXEC_BACKENDS,
-    JobSpec,
-    ResultSink,
-    make_executor,
-    run_jobs,
-)
+from repro.exec import JobSpec, ResultSink, make_executor, run_jobs
 
 SWEEP_JOB_KIND = "repro.analysis.sweep:run_sweep_job"
 """Entrypoint string sweep jobs carry (see :mod:`repro.exec.job`)."""
@@ -252,19 +246,12 @@ def run_sweep_job(job: JobSpec) -> list[SweepRow]:
     return run_case(job_to_case(job))
 
 
-SWEEP_BACKENDS = EXEC_BACKENDS
-"""Valid ``backend`` arguments for :func:`run_sweep` — the execution
-layer's registered executors, by reference (one registry, no copies;
-see :mod:`repro.exec.executors`)."""
-
-
 def run_sweep(
     experiment: str,
     seeds: Sequence[int],
     params: Mapping[str, Any] | None = None,
     grid: Mapping[str, Sequence[Any]] | None = None,
     jobs: int = 1,
-    chunksize: int | None = None,
     early_stop: bool = False,
     backend: str | None = None,
     remote_workers: int | str | Sequence[str] | None = None,
@@ -306,16 +293,12 @@ def run_sweep(
     cases = plan_cases(
         experiment, seeds, params=params, grid=grid, early_stop=early_stop
     )
-    # make_executor rejects unknown backend names.
-    executor = make_executor(
-        backend,
-        workers=jobs,
-        chunksize=chunksize,
-        remote_workers=remote_workers,
-    )
     per_case = run_jobs(
         [case_to_job(case) for case in cases],
-        executor=executor,
+        # make_executor rejects unknown backend names.
+        executor=make_executor(
+            backend, workers=jobs, remote_workers=remote_workers
+        ),
         sink=sink,
         journal=journal,
         resume=resume,

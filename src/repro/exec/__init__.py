@@ -17,7 +17,9 @@ The pieces, and where they live:
 :class:`ResultSink`       in-order streaming consumers (``repro.exec.sink``)
 :class:`Journal`          JSONL checkpoint/resume for plans and adaptive
                           campaigns (``repro.exec.journal``)
-:func:`run_jobs`          the one fan-out loop (``repro.exec.core``)
+:func:`run_jobs`          the one fan-out loop (``repro.exec.core``), over
+                          the :class:`Collector` adaptive campaigns drive
+                          batch by batch
 ========================  ==================================================
 
 Design invariant, inherited from the paper's methodology: every job is a
@@ -27,7 +29,7 @@ a result, only when and where it is computed. The tests pin that down as
 bit-identical digests across every axis.
 """
 
-from repro.exec.core import run_jobs
+from repro.exec.core import Collector, run_jobs
 from repro.exec.executors import (
     EXEC_BACKENDS,
     Executor,
@@ -75,5 +77,6 @@ __all__ = [
     "CallbackSink",
     "TeeSink",
     "Journal",
+    "Collector",
     "run_jobs",
 ]

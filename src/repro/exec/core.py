@@ -15,13 +15,18 @@ and owns everything the three former per-subsystem loops each reimplemented:
 * **collection** — the return value is the full result list in planned
   order, whatever backend ran it.
 
+The loop itself is :class:`Collector`. :func:`run_jobs` drives it over
+a whole plan in one batch; an adaptive fuzz campaign
+(:func:`~repro.analysis.fuzz.run_adaptive_fuzz`), whose jobs unfold
+batch by batch, drives the same collector once per batch.
+
 Sweep rows, fuzz outcomes, and monitored runs are all just payloads here.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.exec.executors import Executor, SerialExecutor
@@ -30,6 +35,85 @@ from repro.exec.journal import Journal
 from repro.exec.sink import ResultSink
 
 _UNSET = object()
+
+
+class Collector:
+    """Ordered collection of a ``total``-job run, one batch at a time.
+
+    A context manager: entering opens the sink for ``total`` results,
+    leaving closes it (on any exit path, paired with a *successful*
+    open). Each :meth:`run` takes one batch of ``(index, job)`` pairs
+    plus whatever of it the journal already holds, hands the rest to the
+    executor, records every completed result to ``log``, and streams
+    results to the sink in planned order as the finished prefix grows —
+    across batch boundaries, since the emit cursor spans the whole run.
+    """
+
+    def __init__(
+        self,
+        total: int,
+        executor: Executor,
+        sink: ResultSink | None = None,
+        log: Journal | None = None,
+    ):
+        self.total = total
+        self.executor = executor
+        self.sink = sink
+        self.log = log
+        self._results: list[Any] = [_UNSET] * total
+        self._jobs: list[JobSpec | None] = [None] * total
+        self._cursor = 0
+
+    def __enter__(self) -> "Collector":
+        if self.sink is not None:
+            self.sink.open(self.total)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.sink is not None:
+            self.sink.close()
+
+    def run(
+        self,
+        batch: Sequence[tuple[int, JobSpec]],
+        restored: Mapping[int, Any],
+    ) -> list[Any]:
+        """Run one batch; return its results in batch order.
+
+        ``restored`` maps batch indices to results taken from a journal;
+        those jobs are not re-run (nor re-recorded).
+        """
+        for index, job in batch:
+            self._jobs[index] = job
+        for index, result in restored.items():
+            self._results[index] = result
+        self._release_prefix()  # journaled results are already available
+        self.executor.submit(
+            [(i, job) for i, job in batch if i not in restored],
+            self._on_result,
+        )
+        missing = [i for i, _ in batch if self._results[i] is _UNSET]
+        if missing:
+            raise SimulationError(
+                f"executor {self.executor.name!r} completed without "
+                f"reporting {len(missing)} job(s) (first: {missing[0]})"
+            )
+        return [self._results[i] for i, _ in batch]
+
+    def _on_result(self, index: int, result: Any) -> None:
+        self._results[index] = result
+        if self.log is not None:
+            self.log.record(index, self._jobs[index], result)
+        self._release_prefix()
+
+    def _release_prefix(self) -> None:
+        if self.sink is None:
+            return
+        results, cursor = self._results, self._cursor
+        while cursor < self.total and results[cursor] is not _UNSET:
+            self.sink.emit(cursor, self._jobs[cursor], results[cursor])
+            cursor += 1
+            self._cursor = cursor
 
 
 def run_jobs(
@@ -61,58 +145,14 @@ def run_jobs(
     owned = isinstance(journal, (str, Path))
     log = Journal(journal) if owned else journal
 
-    # The outer try owns the journal handle from the moment begin()
-    # opens it: a sink whose open() raises, a job exception, or a sink
-    # error mid-run must all still close an owned journal (the flushed
-    # lines it already holds are a valid resumable checkpoint either
-    # way).
-    cached: dict[int, Any] = {}
+    # The try owns the journal handle from the moment begin() opens it:
+    # a sink whose open() raises, a job exception, or a sink error
+    # mid-run must all still close an owned journal (the flushed lines
+    # it already holds are a valid resumable checkpoint either way).
     try:
-        if log is not None:
-            cached = log.begin(jobs, resume=resume)
-        pending = [(i, job) for i, job in enumerate(jobs) if i not in cached]
-
-        results: list[Any] = [_UNSET] * len(jobs)
-        for index, result in cached.items():
-            results[index] = result
-
-        # The emit cursor: results stream to the sink in planned order,
-        # each released the moment it and everything before it is
-        # available.
-        cursor = 0
-
-        def release_prefix() -> None:
-            nonlocal cursor
-            if sink is None:
-                return
-            while cursor < len(jobs) and results[cursor] is not _UNSET:
-                sink.emit(cursor, jobs[cursor], results[cursor])
-                cursor += 1
-
-        def on_result(index: int, result: Any) -> None:
-            results[index] = result
-            if log is not None:
-                log.record(index, jobs[index], result)
-            release_prefix()
-
-        if sink is not None:
-            # close() pairs with a *successful* open, so the inner try
-            # starts only after it.
-            sink.open(len(jobs))
-        try:
-            release_prefix()  # journaled results are already available
-            executor.submit(pending, on_result)
-        finally:
-            if sink is not None:
-                sink.close()
+        cached = log.begin(jobs, resume=resume) if log is not None else {}
+        with Collector(len(jobs), executor, sink, log) as collector:
+            return collector.run(list(enumerate(jobs)), cached)
     finally:
         if log is not None and owned:
             log.close()
-
-    missing = [i for i, result in enumerate(results) if result is _UNSET]
-    if missing:
-        raise SimulationError(
-            f"executor {executor.name!r} completed without reporting "
-            f"{len(missing)} job(s) (first: {missing[0]})"
-        )
-    return results

@@ -60,11 +60,11 @@ class Executor:
 class SerialExecutor(Executor):
     """One job after another in this process; the reference executor.
 
-    ``run`` substitutes the job-running callable — the hook an in-process
-    caller (e.g. the monitor CLI, which wires live printing into the run)
-    uses to observe a job from inside while keeping journal/sink handling
-    in the core. The substitute must return exactly what
-    :func:`~repro.exec.job.run_job` would.
+    ``run`` substitutes the job-running callable — the hook the monitor
+    CLI, which wires live printing into the run, uses to observe a job
+    from inside while keeping journal/sink handling in the core. The
+    substitute must return exactly what :func:`~repro.exec.job.run_job`
+    would.
     """
 
     name = "serial"
@@ -83,19 +83,18 @@ class ParallelExecutor(Executor):
     Jobs are pickled to workers and executed by
     :func:`~repro.exec.job.run_job`; results stream back in planned order
     (ordered ``imap``), so the first results reach the journal and sinks
-    while later chunks are still computing. ``chunksize`` trades dispatch
-    overhead against streaming granularity exactly as it did in the old
-    sweep pool; the default matches it. With one worker, or fewer than
-    two pending jobs, a pool is pure spawn/pickle overhead for
-    bit-identical results, so the jobs run inline through
+    while later chunks are still computing. Jobs ship in chunks of
+    ``max(1, pending // (4 * workers))``: about four chunks per worker,
+    trading dispatch overhead against streaming granularity. With one
+    worker, or fewer than two pending jobs, a pool is pure spawn/pickle
+    overhead for bit-identical results, so the jobs run inline through
     :func:`~repro.exec.job.run_job` and no pool is opened.
     """
 
     name = "parallel"
 
-    def __init__(self, workers: int = 2, chunksize: int | None = None):
+    def __init__(self, workers: int = 2):
         self.workers = max(workers, 1)
-        self.chunksize = chunksize
 
     def submit(self, pending: Pending, on_result: OnResult) -> None:
         if self.workers <= 1 or len(pending) < 2:
@@ -109,7 +108,7 @@ class ParallelExecutor(Executor):
         ctx = multiprocessing.get_context(
             "fork" if sys.platform == "linux" else None
         )
-        chunk = self.chunksize or max(1, len(pending) // (4 * self.workers))
+        chunk = max(1, len(pending) // (4 * self.workers))
         jobs = [job for _, job in pending]
         with ctx.Pool(processes=self.workers) as pool:
             for (index, _), result in zip(
@@ -137,21 +136,14 @@ class InprocExecutor(Executor):
             omitted. Callers that want stepping/quantum/window control or
             post-run :class:`~repro.sim.multiworld.RunnerStats` pass
             their own.
-        run: substitute job-running callable for the whole-job path (see
-            :class:`SerialExecutor`).
     """
 
     name = "inproc"
 
-    def __init__(
-        self,
-        runner=None,
-        run: Callable[[JobSpec], Any] | None = None,
-    ):
+    def __init__(self, runner=None):
         from repro.sim.multiworld import ShardedRunner
 
         self.runner = runner if runner is not None else ShardedRunner()
-        self._run = run or run_job
 
     def submit(self, pending: Pending, on_result: OnResult) -> None:
         if not pending:
@@ -182,48 +174,45 @@ class InprocExecutor(Executor):
 
         with shared_scheduler_storage() as pool:
             for index, job in pending:
-                on_result(index, self._run(job))
+                on_result(index, run_job(job))
                 pool.reclaim()
 
 
 def make_executor(
     backend: str,
     workers: int = 1,
-    chunksize: int | None = None,
     runner=None,
-    run: Callable[[JobSpec], Any] | None = None,
     remote_workers: int | str | Sequence[str] | None = None,
 ) -> Executor:
-    """Build a registered executor by name.
+    """Build a registered executor by name; the one executor factory.
 
-    ``remote_workers`` configures the ``"remote"`` backend's fleet (see
-    :func:`~repro.exec.remote.parse_worker_spec`): an integer spawns that
-    many local worker subprocesses; a ``"host:port,host:port"`` string
-    dials out to workers already listening. It is rejected for every
-    other backend rather than silently ignored.
+    ``workers`` sizes the ``"parallel"`` pool. ``runner`` is the
+    :class:`~repro.sim.multiworld.ShardedRunner` the ``"inproc"``
+    backend steps shard-form jobs with. ``remote_workers`` configures
+    the ``"remote"`` backend's fleet (see
+    :func:`~repro.exec.remote.parse_worker_spec`): an integer spawns
+    that many local worker subprocesses; a ``"host:port,host:port"``
+    string dials out to workers already listening. ``runner`` and
+    ``remote_workers`` are rejected for every other backend rather than
+    silently ignored.
     """
     if remote_workers is not None and backend != "remote":
         raise SimulationError(
             "remote worker addresses only apply to the 'remote' backend "
             f"(got backend {backend!r})"
         )
+    if runner is not None and backend != "inproc":
+        raise SimulationError(
+            "a ShardedRunner only drives the 'inproc' backend; drop "
+            f"runner= or backend={backend!r}"
+        )
     if backend == "serial":
-        return SerialExecutor(run=run)
+        return SerialExecutor()
     if backend == "parallel":
-        if run is not None:
-            raise SimulationError(
-                "the parallel executor cannot take a local run override "
-                "(jobs execute in worker processes)"
-            )
-        return ParallelExecutor(workers=workers, chunksize=chunksize)
+        return ParallelExecutor(workers=workers)
     if backend == "inproc":
-        return InprocExecutor(runner=runner, run=run)
+        return InprocExecutor(runner=runner)
     if backend == "remote":
-        if run is not None:
-            raise SimulationError(
-                "the remote executor cannot take a local run override "
-                "(jobs execute on remote workers)"
-            )
         # Imported lazily: the remote module pulls in sockets, selectors
         # and the detectors package, none of which the in-process
         # backends need.

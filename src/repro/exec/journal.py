@@ -151,31 +151,17 @@ class Journal:
     def load(self, jobs: Sequence[JobSpec]) -> dict[int, Any]:
         """Salvage completed results for this plan; ``{}`` if no file.
 
-        Raises :class:`~repro.errors.SimulationError` if the file exists
-        but belongs to a different plan, or an entry's job hash does not
-        match the plan's job at that index.
-        """
-        return {
-            index: result
-            for index, (_, result) in self.entries(jobs).items()
-        }
-
-    def entries(
-        self, jobs: Sequence[JobSpec]
-    ) -> dict[int, tuple[str, Any]]:
-        """Salvaged entries as ``{index: (raw payload, decoded result)}``.
-
         Reads the file in one shot and holds no handle afterwards;
         validation is exactly :meth:`begin`'s (plan binding, per-entry
-        job hashes, tolerated torn final line).
+        job hashes, tolerated torn final line). Raises
+        :class:`~repro.errors.SimulationError` if the file exists but
+        belongs to a different plan, or an entry's job hash does not
+        match the plan's job at that index.
         """
         results, _ = self._read("plan", plan_digest(jobs), len(jobs))
         for index, (job_hash, _, _) in results.items():
             self._check(index, job_hash, jobs[index], "plan")
-        return {
-            index: (data, result)
-            for index, (_, data, result) in results.items()
-        }
+        return {index: result for index, (_, _, result) in results.items()}
 
     def _read(
         self, key: str, binding: str, total: int

@@ -333,6 +333,20 @@ def _dial(address: str, retry_for: float) -> socket.socket:
             return sock
 
 
+def _check_version(frame: dict, peer: str, me: str) -> None:
+    """Refuse a hello/welcome frame unless its version is exactly ours.
+
+    The type test is load-bearing: JSON ``true`` decodes to ``True``,
+    which compares equal to ``1``.
+    """
+    version = frame.get("version")
+    if type(version) is not int or version != PROTOCOL_VERSION:
+        raise SimulationError(
+            f"{peer} speaks protocol {version!r}, this {me} speaks "
+            f"{PROTOCOL_VERSION}"
+        )
+
+
 def _heartbeat_interval(welcome: dict) -> float:
     """The welcome frame's beat interval: a finite number of seconds > 0.
 
@@ -406,11 +420,7 @@ def _serve(sock: socket.socket, name: str) -> int:
         raise SimulationError(
             f"coordinator opened with {welcome.get('kind')!r}, not welcome"
         )
-    if welcome.get("version") != PROTOCOL_VERSION:
-        raise SimulationError(
-            f"coordinator speaks protocol {welcome.get('version')!r}, "
-            f"this worker speaks {PROTOCOL_VERSION}"
-        )
+    _check_version(welcome, "coordinator", "worker")
     interval = _heartbeat_interval(welcome)
     lock = threading.Lock()
     stop = threading.Event()
@@ -655,11 +665,7 @@ class RemoteExecutor(Executor):
             raise SimulationError(
                 f"worker opened with {hello.get('kind')!r}, not hello"
             )
-        if hello.get("version") != PROTOCOL_VERSION:
-            raise SimulationError(
-                f"worker speaks protocol {hello.get('version')!r}, "
-                f"this coordinator speaks {PROTOCOL_VERSION}"
-            )
+        _check_version(hello, "worker", "coordinator")
         _send_frame(
             sock,
             {

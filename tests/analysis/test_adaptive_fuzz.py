@@ -7,7 +7,6 @@ happens, never the report, the coverage map, or any digest.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -269,3 +268,39 @@ class TestAdaptiveSink:
         assert sink.indices == list(range(COUNT))
         assert sink.closed
         assert streamed.digest() == campaign.digest()
+
+
+class TestAdaptiveRemote:
+    """Campaign batches through the shared collection loop on ``remote``,
+    whose two worker processes report results out of order."""
+
+    @pytest.fixture(scope="class")
+    def inproc(self):
+        return run_adaptive_fuzz(seed=3, count=12, batch=4)
+
+    def _assert_same(self, campaign, inproc):
+        assert campaign.digest() == inproc.digest()
+        assert campaign.coverage.digest() == inproc.coverage.digest()
+        assert campaign.batches == inproc.batches
+
+    def test_remote_matches_inproc(self, inproc):
+        remote = run_adaptive_fuzz(
+            seed=3, count=12, batch=4, backend="remote", remote_workers=2
+        )
+        self._assert_same(remote, inproc)
+
+    def test_inproc_journal_cut_mid_batch_resumes_on_remote(
+        self, inproc, tmp_path
+    ):
+        path = tmp_path / "campaign.jsonl"
+        run_adaptive_fuzz(seed=3, count=12, batch=4, journal=path)
+        lines = path.read_text().splitlines()
+        results = [line for line in lines if '"kind": "result"' in line]
+        coverage = [line for line in lines if '"kind": "coverage"' in line]
+        # A kill mid-batch-1: batch 0, half of batch 1, one checkpoint.
+        path.write_text("\n".join([lines[0]] + results[:6] + coverage[:1]) + "\n")
+        resumed = run_adaptive_fuzz(
+            seed=3, count=12, batch=4, journal=path, resume=True,
+            backend="remote", remote_workers=2,
+        )
+        self._assert_same(resumed, inproc)

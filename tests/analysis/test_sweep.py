@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.sweep import (
-    SWEEP_BACKENDS,
     SweepCase,
     SweepRow,
     available_experiments,
@@ -17,6 +16,7 @@ from repro.analysis.sweep import (
     sweep_table,
 )
 from repro.errors import SimulationError
+from repro.exec import EXEC_BACKENDS
 
 
 class TestPlanning:
@@ -153,7 +153,7 @@ class TestEarlyStop:
 
 class TestBackends:
     def test_known_backends(self):
-        assert SWEEP_BACKENDS == ("serial", "parallel", "inproc", "remote")
+        assert EXEC_BACKENDS == ("serial", "parallel", "inproc", "remote")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError, match="backend"):

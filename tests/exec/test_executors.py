@@ -48,9 +48,12 @@ class TestExecutors:
             with pytest.raises(SimulationError, match="remote"):
                 make_executor(backend, remote_workers=2)
 
-    def test_remote_rejects_run_override(self):
-        with pytest.raises(SimulationError, match="run override"):
-            make_executor("remote", run=lambda job: None)
+    def test_runner_rejected_off_inproc(self):
+        from repro.sim.multiworld import ShardedRunner
+
+        for backend in ("serial", "parallel", "remote"):
+            with pytest.raises(SimulationError, match="inproc"):
+                make_executor(backend, runner=ShardedRunner())
 
     def test_small_pools_run_inline(self, monkeypatch):
         # A one-worker pool, or a pool for one job, is pure spawn/pickle
@@ -90,10 +93,12 @@ class TestExecutors:
         )
 
     def test_parallel_chunksize_is_invisible(self):
-        jobs = _plan(7)
-        expected = [s * s for s in range(7)]
-        for chunksize in (1, 2, 5, 50):
-            executor = ParallelExecutor(workers=3, chunksize=chunksize)
+        # The pool ships chunks of len // (4 * workers): 24 jobs go out
+        # in chunks of 3 on two workers and 1 on six.
+        jobs = _plan(24)
+        expected = [s * s for s in range(24)]
+        for workers in (2, 6):
+            executor = ParallelExecutor(workers=workers)
             assert run_jobs(jobs, executor=executor) == expected
 
     def test_serial_run_override(self):
@@ -106,10 +111,6 @@ class TestExecutors:
         results = run_jobs(_plan(3), executor=SerialExecutor(run=spy))
         assert results == [0, -1, -2]
         assert seen == [0, 1, 2]
-
-    def test_parallel_rejects_run_override(self):
-        with pytest.raises(SimulationError, match="run override"):
-            make_executor("parallel", run=lambda job: None)
 
     def test_errors_propagate(self):
         jobs = [JobSpec(kind="toykinds:boom", spec_id="b", seed=1)]

@@ -284,21 +284,7 @@ class TestPartition:
             partition_jobs(_plan(3), 0, 0)
 
 
-class TestPublicEntriesApi:
-    def test_entries_exposes_raw_and_decoded(self, tmp_path):
-        jobs = _plan(3)
-        journal = Journal(tmp_path / "j.jsonl")
-        journal.begin(jobs)
-        journal.record(1, jobs[1], 1)
-        journal.close()
-        entries = Journal(journal.path).entries(jobs)
-        assert set(entries) == {1}
-        raw, decoded = entries[1]
-        assert decoded == 1
-        # The raw payload is the journal line's own data field.
-        lines = journal.path.read_text().splitlines()
-        assert json.loads(lines[1])["data"] == raw
-
+class TestContextManager:
     def test_context_manager_closes_on_exit(self, tmp_path):
         jobs = _plan(2)
         with Journal(tmp_path / "j.jsonl") as journal:

@@ -417,6 +417,41 @@ class TestWorkerFrameValidation:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestProtocolVersion:
+    """JSON ``true`` decodes to ``True``, which equals ``1``: each end
+    must refuse it as a protocol version rather than alias it."""
+
+    def test_worker_refuses_a_boolean_welcome_version(self):
+        # The shutdown after the welcome makes a worker that wrongly
+        # accepts the welcome return 0 instead of raising.
+        message = _serve_refusal(
+            _welcome(version=True), {"kind": "shutdown"}
+        )
+        assert message == (
+            "coordinator speaks protocol True, this worker speaks "
+            f"{PROTOCOL_VERSION}"
+        )
+
+    def test_coordinator_refuses_a_boolean_hello_version(self):
+        left, right = socket.socketpair()
+        try:
+            _send_frame(
+                left,
+                {"kind": "hello", "version": True, "name": "w0", "pid": 1},
+            )
+            with pytest.raises(SimulationError) as info:
+                RemoteExecutor(spawn=1)._handshake(
+                    right, time.monotonic() + 5
+                )
+            assert str(info.value) == (
+                "worker speaks protocol True, this coordinator speaks "
+                f"{PROTOCOL_VERSION}"
+            )
+        finally:
+            left.close()
+            right.close()
+
+
 class TestFrameHandling:
     """Direct checks of the coordinator's result reconciliation."""
 
